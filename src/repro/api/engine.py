@@ -782,18 +782,30 @@ class Engine:
                 self._translators = pool
             return self._translators
 
-    def _effective_solver_options(self, request: SynthesisRequest) -> SolverOptions | None:
-        """Request solver options over engine defaults, tightened by the deadline."""
+    def _effective_solver_options(
+        self, request: SynthesisRequest, budget: float | None = None
+    ) -> SolverOptions | None:
+        """Request solver options over engine defaults, tightened by the deadline.
+
+        ``budget`` is what remains of the request deadline when Step 4
+        starts (the reduction has already spent the rest); without it the
+        whole deadline applies, which is the form the solve-dedup and store
+        keys use, so identical requests keep sharing one solve.
+        """
         options = request.solver_options if request.solver_options is not None else self.solver_options
         if request.deadline is not None:
+            budget = float(request.deadline) if budget is None else budget
             options = options if options is not None else SolverOptions()
-            limit = (
-                float(request.deadline)
-                if options.time_limit is None
-                else min(options.time_limit, float(request.deadline))
-            )
+            limit = budget if options.time_limit is None else min(options.time_limit, budget)
             options = replace(options, time_limit=limit)
         return options
+
+    @staticmethod
+    def _remaining_budget(request: SynthesisRequest, started: float) -> float | None:
+        """What is left of ``request.deadline`` since ``started`` (``perf_counter`` scale)."""
+        if request.deadline is None:
+            return None
+        return max(0.0, float(request.deadline) - (time.perf_counter() - started))
 
     def _execute(
         self,
@@ -1194,7 +1206,9 @@ class Engine:
                 start = time.perf_counter()
                 chosen = enumerator
                 if chosen is None:
-                    options = self._effective_solver_options(request)
+                    options = self._effective_solver_options(
+                        request, self._remaining_budget(request, total_start)
+                    )
                     chosen = (
                         RepresentativeEnumerator(options=options)
                         if options is not None
@@ -1205,7 +1219,7 @@ class Engine:
                 shared = False
             else:
                 solve_result, solve_seconds, shared, schedule_timings = self._weak_solve(
-                    request, job, built, solver, task
+                    request, job, built, solver, task, self._remaining_budget(request, total_start)
                 )
                 timings["solve_seconds"] = solve_seconds
                 timings.update(schedule_timings)
@@ -1213,17 +1227,12 @@ class Engine:
                 if request.options.verify != "none" and solve_result.feasible:
                     from repro.certify.verify import verify_solution
 
-                    remaining: float | None = None
-                    if request.deadline is not None:
-                        remaining = max(
-                            0.0, float(request.deadline) - (time.perf_counter() - total_start)
-                        )
                     outcome = verify_solution(
                         built,
                         solve_result,
                         request.options,
                         solver_options=self._effective_solver_options(request),
-                        deadline_seconds=remaining,
+                        deadline_seconds=self._remaining_budget(request, total_start),
                     )
                     self._record_verification(outcome)
                     if outcome.solve_result is not None:  # a repair round re-solved
@@ -1310,14 +1319,15 @@ class Engine:
         task: SynthesisTask,
         solver_override: Solver | None,
         task_override: SynthesisTask | None,
+        budget: float | None = None,
     ) -> tuple[SolverResult, float, bool, dict[str, float]]:
-        """Run (or share) the Step-4 solve.
+        """Run (or share) the Step-4 solve within ``budget`` seconds of the deadline.
 
         Returns ``(result, seconds, shared, schedule_timings)`` — the last a
         (possibly empty) dict of ``schedule_*`` entries merged into the
         response timings when the corpus scheduler predicted this solve.
         """
-        options = self._effective_solver_options(request)
+        options = self._effective_solver_options(request, budget)
         schedule: dict[str, float] = {}
         plan: SchedulePlan | None = None
         if solver_override is not None or self.solver is not None:
@@ -1326,7 +1336,7 @@ class Engine:
             # deadline is a hard per-request bound: tighten the solver's
             # time_limit on a copy (never mutate a caller's solver).
             if request.deadline is not None:
-                deadline = float(request.deadline)
+                deadline = float(request.deadline) if budget is None else budget
                 limit = (
                     deadline
                     if solver.options.time_limit is None
@@ -1373,7 +1383,9 @@ class Engine:
         store_key: str | None = None
         if self.store is not None and self.solver is None:
             store_key = self.store.solves.key_for(
-                request, self._schedule_mode(request) == "on", repr(options)
+                request,
+                self._schedule_mode(request) == "on",
+                repr(self._effective_solver_options(request)),
             )
         key = self._solve_dedup_key(request, job)
         with self._solve_lock:

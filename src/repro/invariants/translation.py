@@ -62,16 +62,14 @@ from repro.polynomial.compiled import (
     POOL_PLUS_ONE,
     CoefficientPool,
     MixedTermArrays,
-    exponent_rows,
     lower_gram_triples,
     lower_mixed,
 )
-from repro.polynomial.monomial import Monomial
+from repro.polynomial.monomial import Monomial, format_power_product
 from repro.polynomial.ordering import (
-    cached_monomial_basis,
     count_monomials_up_to_degree,
     grlex_ranks,
-    monomials_up_to_degree,
+    grlex_unrank,
 )
 from repro.polynomial.polynomial import Polynomial
 
@@ -186,11 +184,9 @@ def run_kernel(payload: KernelPayload) -> KernelResult:
 
 @lru_cache(maxsize=256)
 def _basis_exponents(width: int, degree: int) -> np.ndarray:
-    """Exponent matrix of the grlex basis — independent of variable names."""
-    placeholder = tuple(f"_b{i}" for i in range(width))
-    basis = monomials_up_to_degree(placeholder, degree)
-    index = {name: position for position, name in enumerate(placeholder)}
-    return exponent_rows(basis, index, width)
+    """Exponent matrix of the grlex basis (row ``i`` has rank ``i``) — name-free."""
+    count = count_monomials_up_to_degree(width, degree)
+    return grlex_unrank(np.arange(count, dtype=np.int64), width)
 
 
 @lru_cache(maxsize=128)
@@ -229,19 +225,27 @@ def _sos_template(width: int, upsilon: int) -> KernelResult:
 
 
 @lru_cache(maxsize=256)
-def _basis_strings(variables: tuple[str, ...], degree: int) -> list:
-    """Lazily-filled ``rank -> str(monomial)`` table for origin strings."""
-    return [None] * count_monomials_up_to_degree(len(variables), degree)
+def _basis_strings(variables: tuple[str, ...]) -> dict[int, str]:
+    """Lazily-filled ``rank -> str(monomial)`` table for origin strings.
+
+    Ranks do not depend on the degree bound, so one table per variable order
+    serves every pair; only the ranks that actually occur are ever filled.
+    """
+    return {}
 
 
-def _basis_string(
-    strings: list, basis: tuple[Monomial, ...], rank: int
-) -> str:
-    text = strings[rank]
-    if text is None:
-        text = str(basis[rank])
-        strings[rank] = text
-    return text
+def _rank_strings(variables: tuple[str, ...], ranks: list[int]) -> dict[int, str]:
+    """The origin-string table of ``variables``, filled for every rank in ``ranks``."""
+    strings = _basis_strings(variables)
+    missing = [rank for rank in ranks if rank not in strings]
+    if missing:
+        # Monomial text lists variables sorted by name, whatever their order here.
+        order = sorted(range(len(variables)), key=variables.__getitem__)
+        names = [variables[position] for position in order]
+        rows = grlex_unrank(np.asarray(missing, dtype=np.int64), len(variables))
+        for rank, row in zip(missing, rows[:, order].tolist()):
+            strings[rank] = format_power_product(zip(names, row))
+    return strings
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +283,6 @@ class _PairJob:
     variables: tuple[str, ...]
     unknown_names: tuple[str, ...]  # input (template) unknowns in id order
     pool_values: tuple[Fraction, ...]
-    max_degree: int
     payload: KernelPayload
     # Putinar-only shape data (None markers unused for Handelman).
     multiplier_count: int = 0  # m + 1
@@ -307,11 +310,6 @@ def _compile_putinar_pair(pair: ConstraintPair, pair_index: int, options) -> _Pa
     assumption_count = len(pair.assumptions)
     h_dim = count_monomials_up_to_degree(width, options.upsilon)
     h_exponents = _basis_exponents(width, options.upsilon)
-
-    max_degree = max(
-        [conclusion.max_degree, options.upsilon]
-        + [options.upsilon + lowered.max_degree for lowered in assumptions]
-    )
 
     # Output unknown id layout: input unknowns, then the (m+1) t-blocks, the
     # witness, then the (m+1) Cholesky blocks (row-major lower triangles).
@@ -374,7 +372,6 @@ def _compile_putinar_pair(pair: ConstraintPair, pair_index: int, options) -> _Pa
         variables=variables,
         unknown_names=tuple(unknown_index),
         pool_values=pool.values(),
-        max_degree=max_degree,
         payload=payload,
         multiplier_count=assumption_count + 1,
         h_dim=h_dim,
@@ -393,12 +390,12 @@ def _append_groups(
     result: KernelResult,
     monomials: list,
     pool_values: Sequence[Fraction],
-    basis: tuple[Monomial, ...],
-    strings: list,
+    variables: tuple[str, ...],
     origin: Callable[[str], str],
 ) -> None:
     """Materialise one grouped kernel result as trusted equality constraints."""
     eq_mu = result.eq_mu.tolist()
+    strings = _rank_strings(variables, eq_mu)
     offsets = result.eq_offsets.tolist()
     term_a = result.term_a.tolist()
     term_b = result.term_b.tolist()
@@ -426,7 +423,7 @@ def _append_groups(
                     del terms[monomial]
         if not terms:
             continue
-        origin_text = origin(_basis_string(strings, basis, rank))
+        origin_text = origin(strings[rank])
         if len(terms) == 1 and next(iter(terms)).is_constant():
             polynomial = Polynomial._from_validated(terms)
             raise SynthesisError(
@@ -473,16 +470,13 @@ def _assemble_putinar(
             )
         )
 
-    basis = cached_monomial_basis(job.variables, job.max_degree)
-    strings = _basis_strings(job.variables, job.max_degree)
     pair_name = job.pair_name
     _append_groups(
         constraints,
         result,
         monomials,
         job.pool_values,
-        basis,
-        strings,
+        job.variables,
         lambda text: f"{pair_name}:coeff[{text}]",
     )
 
@@ -511,8 +505,7 @@ def _assemble_putinar(
             shifted,
             monomials,
             job.pool_values,
-            basis,
-            strings,
+            job.variables,
             lambda text, which=which: f"{pair_name}:sos{which}[{text}]",
         )
         diag_origin = f"{pair_name}:diag{which}"
@@ -551,9 +544,6 @@ def _compile_handelman_pair(
     input_count = len(unknown_index)
     eps_id = input_count if with_witness else None
     lambda_base = input_count + (1 if with_witness else 0)
-    max_degree = max(
-        [conclusion.max_degree] + [lowered.max_degree for lowered in lowered_products]
-    )
 
     direct_exponents = [conclusion.exponents]
     direct_a = [conclusion.unknown_ids]
@@ -600,7 +590,6 @@ def _compile_handelman_pair(
         variables=variables,
         unknown_names=tuple(unknown_index),
         pool_values=pool.values(),
-        max_degree=max_degree,
         payload=payload,
         with_witness=with_witness,
         product_labels=tuple(label for label, _, _ in products),
@@ -636,16 +625,13 @@ def _assemble_handelman(
                 f"{job.pair_name}:lambda[{label}]",
             )
         )
-    basis = cached_monomial_basis(job.variables, job.max_degree)
-    strings = _basis_strings(job.variables, job.max_degree)
     pair_name = job.pair_name
     _append_groups(
         constraints,
         result,
         monomials,
         job.pool_values,
-        basis,
-        strings,
+        job.variables,
         lambda text: f"{pair_name}:coeff[{text}]",
     )
 

@@ -107,13 +107,12 @@ class MixedTermArrays:
     Each term of a mixed polynomial (program variables times at most one
     template unknown) becomes one row: the program-part exponent vector, the
     unknown id (``-1`` when the term is unknown-free) and the pool id of its
-    exact coefficient.  ``max_degree`` is the largest program-part degree.
+    exact coefficient.
     """
 
     exponents: np.ndarray  # (terms, program_variables), int64
     unknown_ids: np.ndarray  # (terms,), int64, -1 for unknown-free terms
     coefficient_ids: np.ndarray  # (terms,), int64 into the owning CoefficientPool
-    max_degree: int
 
 
 def lower_mixed(
@@ -156,13 +155,10 @@ def lower_mixed(
             )
         program_parts.append(program_part)
         coefficient_ids.append(pool.add(-coefficient if negate else coefficient))
-    exponents = exponent_rows(program_parts, index, width)
-    max_degree = int(exponents.sum(axis=1).max()) if exponents.size else 0
     return MixedTermArrays(
-        exponents=exponents,
+        exponents=exponent_rows(program_parts, index, width),
         unknown_ids=np.asarray(unknown_ids, dtype=np.int64),
         coefficient_ids=np.asarray(coefficient_ids, dtype=np.int64),
-        max_degree=max_degree,
     )
 
 

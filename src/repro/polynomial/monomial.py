@@ -26,6 +26,16 @@ def _restore_interned(items: tuple[tuple[str, int], ...]) -> "Monomial":
     return Monomial._from_tuple(items)
 
 
+def format_power_product(items: Iterable[tuple[str, int]]) -> str:
+    """Display text of a power product given as sorted ``(variable, exponent)`` pairs.
+
+    Zero exponents are skipped, so a dense exponent row zipped with sorted
+    variable names formats exactly like the interned :class:`Monomial`.
+    """
+    parts = [var if exp == 1 else f"{var}^{exp}" for var, exp in items if exp]
+    return "*".join(parts) if parts else "1"
+
+
 class Monomial:
     """A power product of variables, such as ``x**2 * y``.
 
@@ -278,12 +288,7 @@ class Monomial:
     # -- display -------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._items:
-            return "1"
-        parts = []
-        for var, exp in self._items:
-            parts.append(var if exp == 1 else f"{var}^{exp}")
-        return "*".join(parts)
+        return format_power_product(self._items)
 
     def __repr__(self) -> str:
         return f"Monomial({self._powers!r})"

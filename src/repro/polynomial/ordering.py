@@ -9,7 +9,6 @@ deterministic printing and for the Groebner-free normal forms in tests.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,17 +98,6 @@ def monomials_of_degree(variables: Sequence[str], degree: int) -> list[Monomial]
     return [m for m in monomials_up_to_degree(variables, degree) if m.degree() == degree]
 
 
-@lru_cache(maxsize=256)
-def cached_monomial_basis(variables: tuple[str, ...], degree: int) -> tuple[Monomial, ...]:
-    """Memoised :func:`monomials_up_to_degree` for repeated pair compilations.
-
-    Translation compiles one basis per (variable order, degree) combination and
-    every constraint pair of the same function shares it, so interning the
-    tuple avoids re-enumerating thousands of monomials per pair.
-    """
-    return tuple(monomials_up_to_degree(variables, degree))
-
-
 def pascal_table(max_free: int, max_sum: int) -> np.ndarray:
     """Table ``T[m, s] = C(s + m, m)``: monomials over ``m`` variables of degree <= ``s``.
 
@@ -156,6 +144,45 @@ def grlex_ranks(exponents: np.ndarray) -> np.ndarray:
         ranks = ranks + row[remaining] - row[remaining - exps]
         remaining = remaining - exps
     return ranks
+
+
+def grlex_unrank(ranks: np.ndarray, width: int) -> np.ndarray:
+    """Exponent rows of the given graded lexicographic ranks over ``width`` variables.
+
+    The exact inverse of :func:`grlex_ranks`: the result is the ``(n, width)``
+    matrix whose row ``i`` is the monomial at position ``ranks[i]`` of
+    :func:`monomials_up_to_degree`.  The degree block is found by a search in
+    the cumulative counts ``C(d + v, v)``; then, position by position, the
+    exponent is the largest ``e`` whose lex-smaller count
+    ``C(s + free, free) - C(s - e + free, free)`` (see :func:`grlex_ranks`)
+    still fits in the rank left over — again one search per position, since
+    ``C(t + free, free)`` increases with ``t``.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64).reshape(-1)
+    exponents = np.zeros((ranks.size, width), dtype=np.int64)
+    if ranks.size == 0:
+        return exponents
+    if int(ranks.min()) < 0 or (width == 0 and int(ranks.max()) > 0):
+        raise ValueError("grlex rank out of range")
+    if width == 0:
+        return exponents
+    top = int(ranks.max())
+    max_degree = 0
+    while count_monomials_up_to_degree(width, max_degree) <= top:
+        max_degree += 1
+    table = pascal_table(width, max_degree)
+    degrees = np.searchsorted(table[width], ranks, side="right")
+    offsets = ranks - np.where(degrees > 0, table[width][np.maximum(degrees - 1, 0)], 0)
+    remaining = degrees
+    for position in range(width - 1):
+        row = table[width - 1 - position]
+        # Smallest t with C(t + free, free) >= C(s + free, free) - offset.
+        rest = np.searchsorted(row, row[remaining] - offsets, side="left")
+        exponents[:, position] = remaining - rest
+        offsets = offsets - (row[remaining] - row[rest])
+        remaining = rest
+    exponents[:, width - 1] = remaining
+    return exponents
 
 
 def count_monomials_up_to_degree(num_variables: int, degree: int) -> int:

@@ -201,13 +201,20 @@ def batched_least_squares(
     Minimises ``||residuals(x_i)||^2`` for every live member with a damped
     Gauss-Newton step solved matrix-free by :func:`_batched_cg` on the normal
     equations ``(J_i^T J_i + lambda_i I) dx_i = -J_i^T r_i``.  Members retire
-    when their violation reaches ``target`` and the fast quadratic
-    convergence near a zero-residual solution has run dry (so feasible
-    members carry every float digit the exact-certificate snap can use),
-    when their gradient vanishes
-    (stationary — e.g. the origin of a bilinear system), or their damping
-    explodes (no descent direction left).  A member's row only ever moves to
-    a strictly lower cost, so the sprint never worsens feasibility.
+    when their gradient vanishes (stationary — e.g. the origin of a bilinear
+    system), when their damping explodes (no descent direction left), or
+    when they are done:
+
+    * a member at or below ``target`` keeps polishing only while convergence
+      is still quadratic (an accepted step cuts the cost by >= 4 orders of
+      magnitude) — those cheap extra digits feed the exact-certificate snap;
+    * a member at or below ``control.tolerance`` *settles*: it retires on its
+      first accepted step that is not quadratic, instead of crawling toward
+      ``target`` at a linear rate.  The exact lift judges the settled point;
+      a point that does not lift takes the repair path.
+
+    A member's row only ever moves to a strictly lower cost, so the sprint
+    never worsens feasibility.
 
     ``win_tolerance`` enables first-feasible-wins batch cancellation for
     pure-feasibility solves: when a member retires with violation at or
@@ -260,7 +267,7 @@ def batched_least_squares(
 
         x = np.where(improved[:, None], trial, x)
         r = np.where(improved[:, None], r_trial, r)
-        polishing = improved & (cost_trial <= 1e-4 * cost)
+        quadratic = improved & (cost_trial <= 1e-4 * cost)
         cost = np.where(improved, cost_trial, cost)
         damping = np.where(
             improved,
@@ -269,11 +276,8 @@ def batched_least_squares(
         )
         live &= damping < _MAX_DAMPING
         violation = np.max(np.abs(r), axis=1) if r.shape[1] else violation
-        # Members at ``target`` keep polishing while convergence is still
-        # quadratic (each accepted step shaving >=4 orders of magnitude off
-        # the cost): the exact-certificate snap feeds on those extra digits.
-        # They retire the moment progress stalls.
-        live &= (violation > target) | polishing
+        settled = improved & ~quadratic & (violation <= control.tolerance)
+        live &= ((violation > target) | quadratic) & ~settled
         if win_tolerance is not None:
             cancel_overtaken(live, violation <= win_tolerance)
 

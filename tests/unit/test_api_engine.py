@@ -162,6 +162,44 @@ def test_deadline_tightens_solver_time_limit():
     assert effective.time_limit == 2.5
 
 
+@pytest.mark.parametrize("explicit_solver", [False, True])
+def test_solve_budget_is_what_the_reduction_left_of_the_deadline(monkeypatch, explicit_solver):
+    # A request with deadline D whose reduction took R must give Step 4 at
+    # most D - R, not the whole deadline again.
+    import time
+
+    import repro.api.engine as engine_module
+
+    deadline, delay = 2.0, 0.4
+    limits = []
+
+    class Recording(PenaltyQCLPSolver):
+        def solve(self, system):
+            limits.append(self.options.time_limit)
+            return super().solve(system)
+
+    def recording_make_solver(strategy, options=None, **kwargs):
+        return Recording(options)
+
+    with Engine(solver_options=QUICK_SOLVE) as fresh:
+        build = fresh.cache.get_or_build_with_report
+
+        def slow_build(*args, **kwargs):
+            time.sleep(delay)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(fresh.cache, "get_or_build_with_report", slow_build)
+        monkeypatch.setattr(engine_module, "make_solver", recording_make_solver)
+        solver = Recording(SolverOptions(restarts=1, max_iterations=60, time_limit=None))
+        response = fresh.synthesize(
+            request_for("sum", deadline=deadline), solver=solver if explicit_solver else None
+        )
+    reduction = response.timings["reduction_seconds"]
+    assert reduction >= delay
+    assert len(limits) == 1
+    assert limits[0] <= deadline - reduction
+
+
 def test_request_solver_options_override_engine_default(engine):
     request = request_for("sum", solver_options=SolverOptions(restarts=2, max_iterations=40))
     assert engine._effective_solver_options(request).restarts == 2

@@ -311,3 +311,57 @@ def test_start_batch_rows_are_pairwise_distinct():
             # Warm rows are perturbations, never the warm point itself.
             for row in points:
                 assert not np.array_equal(row, warm)
+
+
+# -- the LM settle rule ----------------------------------------------------------------
+
+
+def _sprint(polynomial: str, value: float, max_iterations: int):
+    """One-member LM sprint on a single equality; returns (iterations, violation)."""
+    from repro.solvers.batched import KernelCounters, batched_least_squares
+    from repro.solvers.problem import SolveControl
+
+    system = QuadraticSystem()
+    system.add_equality(parse_polynomial(polynomial))
+    problem = compile_problem(system)
+    outcome = batched_least_squares(
+        problem,
+        problem.vector({"$s_f_1_0_0": value})[None, :],
+        control=SolveControl(deadline=Deadline.never(), tolerance=1e-6),
+        counters=KernelCounters(),
+        max_iterations=max_iterations,
+        target=1e-9,
+    )
+    return outcome.iterations, float(problem.max_violation_batch(outcome.points)[0])
+
+
+def test_feasible_member_settles_on_its_first_linear_step():
+    # s^2 = 0 has a double root: LM only converges linearly toward it.  The
+    # start is already within tolerance, so the first accepted (linear-rate)
+    # step retires the member instead of a long crawl toward the target.
+    iterations, violation = _sprint("$s_f_1_0_0^2", 5e-4, max_iterations=50)
+    assert iterations == 1
+    assert 1e-9 < violation <= 1e-6
+
+
+def test_quadratically_converging_member_still_polishes_to_target():
+    # s^2 = 1 has a simple root: after one step the member is within
+    # tolerance but above target, and its steps are still quadratic, so it
+    # keeps polishing until it reaches the target.
+    _, first = _sprint("$s_f_1_0_0^2 - 1", 1.0005, max_iterations=1)
+    assert 1e-9 < first <= 1e-6
+    iterations, violation = _sprint("$s_f_1_0_0^2 - 1", 1.0005, max_iterations=50)
+    assert iterations > 1
+    assert violation <= 1e-9
+
+
+def test_inverted_pendulum_quick_solve_finishes_within_its_time_limit():
+    from repro.pipeline.jobs import job_from_benchmark
+    from repro.solvers.portfolio import make_solver
+
+    job = job_from_benchmark(get_benchmark("inverted-pendulum"), quick=True)
+    task = build_task(job.source, job.precondition, job.objective, job.options)
+    options = SolverOptions(restarts=1, max_iterations=150, time_limit=15.0)
+    result = make_solver(job.options.strategy, options=options).solve(task.system)
+    assert result.feasible
+    assert result.details["timed_out"] == 0.0
