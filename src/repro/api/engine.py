@@ -1,8 +1,9 @@
 """The Engine: one service-grade front door for every synthesis caller.
 
 An :class:`Engine` is a long-lived session object that owns the Step 1-3
-:class:`~repro.pipeline.cache.TaskCache` and the Step-4 worker pool, and
-executes typed :class:`~repro.api.request.SynthesisRequest` values:
+:class:`~repro.pipeline.cache.TaskCache` and the request executor (worker
+threads, or whole-job worker processes), and executes typed
+:class:`~repro.api.request.SynthesisRequest` values:
 
 * :meth:`Engine.synthesize` — one request, blocking, returns a
   :class:`~repro.api.response.SynthesisResponse` (never raises for
@@ -21,6 +22,11 @@ The four paper-named functions in :mod:`repro.invariants.synthesis`, the
 batch :class:`~repro.pipeline.SynthesisPipeline` and the ``repro.bench``
 runner are all thin layers over this class; a future HTTP/queue front-end
 binds here as well.
+
+Parallelism has one axis: with ``workers > 1`` whole requests run
+concurrently — on worker processes under ``executor="process"``, on worker
+threads otherwise.  Nothing below a request (the Step-3 translation, the
+Step-4 solve, the portfolio race) starts processes of its own.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -68,18 +74,17 @@ from repro.solvers.portfolio import DEFAULT_PORTFOLIO, PortfolioSolver, make_sol
 from repro.solvers.strong import RepresentativeEnumerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.invariants.translation import TranslationPool
     from repro.store import BlobStore, EngineStore
 
 #: Engine execution back-ends.  ``"process"`` is the multi-core production
-#: path: whole synthesize jobs ship to persistent worker processes over the
-#: JSON wire protocol (:mod:`repro.api.workers`).  ``"solve-process"`` is the
-#: legacy Step-4-only fan-out kept for in-process batch consumers (the
-#: pipeline, the bench runner) that need the rich ``result``/``task`` extras
-#: a wire envelope cannot carry.  ``"auto"`` picks ``"process"`` when the
-#: engine is pooled (``workers > 1``) and the host has at least two cores,
-#: else ``"thread"``.
-EXECUTORS = ("auto", "thread", "process", "solve-process")
+#: path and the engine's one parallelism axis: whole synthesize jobs ship to
+#: persistent worker processes over the JSON wire protocol
+#: (:mod:`repro.api.workers`).  ``"thread"`` runs requests in this process,
+#: which in-process batch consumers (the pipeline, the bench runner) use for
+#: the rich ``result``/``task`` extras a wire envelope cannot carry.
+#: ``"auto"`` picks ``"process"`` when the engine is pooled (``workers > 1``)
+#: and the host has at least two cores, else ``"thread"``.
+EXECUTORS = ("auto", "thread", "process")
 
 #: Engine-level scheduler modes (requests can override via
 #: ``SynthesisOptions.scheduler``; ``"inherit"`` follows the engine).
@@ -87,17 +92,6 @@ SCHEDULERS = ("off", "on", "record-only")
 
 #: Remaining-deadline floor below which another escalation rung is pointless.
 _ESCALATION_MIN_BUDGET = 0.01
-
-
-def _solve_system(solver: Solver, system) -> tuple[SolverResult, float]:
-    """Worker entry point: one Step-4 solve (module-level for picklability).
-
-    Returns the result with the solve's own compute time, so pooled runs
-    report per-request solver time rather than queue latency.
-    """
-    start = time.perf_counter()
-    result = solver.solve(system)
-    return result, time.perf_counter() - start
 
 
 class SynthesisHandle:
@@ -127,7 +121,7 @@ class SynthesisHandle:
 
 
 class Engine:
-    """A synthesis session: persistent task cache plus a Step-4 worker pool.
+    """A synthesis session: persistent task cache plus a request executor.
 
     Parameters
     ----------
@@ -159,26 +153,14 @@ class Engine:
         only (no in-process ``result``/``task`` extras), exactly as over the
         wire; requests that need live objects — escape-hatch submissions, an
         engine-level ``solver``, ``reduce_only`` — transparently fall back to
-        the thread path.  ``"solve-process"`` is the legacy Step-4-only
-        process fan-out kept for batch consumers that need the rich extras.
-        ``"auto"`` (default) picks ``"process"`` when ``workers > 1`` and the
-        host has at least two cores, else ``"thread"``.
+        the thread path.  ``"auto"`` (default) picks ``"process"`` when
+        ``workers > 1`` and the host has at least two cores, else
+        ``"thread"``.  With ``workers <= 1`` every executor resolves to
+        ``"thread"``: no pool starts and requests run in the calling thread.
     max_cached_solves:
         Size bound of the solve-dedup result table (oldest entries evicted
         first), so a long-lived engine's memory stays bounded.  ``None``
         disables eviction.
-    translation_workers:
-        ``n > 1`` fans the vectorised Step-3 translation kernels of each
-        reduction out across a dedicated
-        :class:`~repro.invariants.translation.TranslationPool` of ``n``
-        shared-memory worker processes (exponent/coefficient arrays travel
-        through ``multiprocessing.shared_memory``, never pickled
-        ``Polynomial`` objects; results merge in pair-index order, so the
-        system is bit-identical to a sequential translation).  ``"auto"``
-        runs a one-time calibration on first use and enables a
-        ``cpu_count``-sized pool only where fan-out actually measures at
-        least as fast as the sequential kernel.  ``0``/``1`` (the default)
-        translates sequentially.
     scheduler:
         The corpus-driven portfolio scheduler (:mod:`repro.schedule`).
         ``"off"`` (default) races portfolios exactly as configured;
@@ -225,21 +207,12 @@ class Engine:
         solver_options: SolverOptions | None = None,
         executor: str = "auto",
         max_cached_solves: int | None = 512,
-        translation_workers: int | str = 0,
         scheduler: str = "off",
         corpus: SolveCorpus | str | None = None,
         store: "EngineStore | BlobStore | str | None" = None,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be non-negative, got {workers}")
-        if isinstance(translation_workers, str):
-            if translation_workers != "auto":
-                raise ValueError(
-                    f"translation_workers must be a non-negative int or 'auto', "
-                    f"got {translation_workers!r}"
-                )
-        elif translation_workers < 0:
-            raise ValueError(f"translation_workers must be non-negative, got {translation_workers}")
         if executor not in EXECUTORS:
             raise ValueError(f"unknown executor {executor!r}; known executors: {', '.join(EXECUTORS)}")
         if scheduler not in SCHEDULERS:
@@ -251,11 +224,9 @@ class Engine:
         self.max_cached_solves = max_cached_solves
         self.solver = solver
         self.solver_options = solver_options
-        self.translation_workers = translation_workers
         self.executor = executor
         self._executor_kind = self._resolve_executor(executor, workers)
         self._threads: ThreadPoolExecutor | None = None
-        self._processes: ProcessPoolExecutor | None = None
         self._jobs: ProcessWorkerPool | None = None
         self._inflight: dict[str, Future] = {}
         self._inflight_lock = threading.Lock()
@@ -264,8 +235,6 @@ class Engine:
             "process_jobs_shared": 0,
             "process_jobs_failed": 0,
         }
-        self._translators: "TranslationPool | None" = None
-        self._translation_disabled = False
         self._pool_lock = threading.Lock()
         self._solves: dict[tuple, Future] = {}
         self._solve_lock = threading.Lock()
@@ -277,7 +246,6 @@ class Engine:
             "translation_compile_seconds": 0.0,
             "translation_fanout_seconds": 0.0,
             "translation_assemble_seconds": 0.0,
-            "translation_parallel_runs": 0.0,
         }
         self._verify_lock = threading.Lock()
         self._verify_stats = {
@@ -329,7 +297,7 @@ class Engine:
             "schedule_rows_recorded": 0,
             "schedule_record_failures": 0,
         }
-        if self._executor_kind == "process" and self.workers > 1:
+        if self._executor_kind == "process":
             # Fork the job workers now, from the constructing thread — before
             # the engine's own worker threads exist — so the pool is warm for
             # the first request.  A construction failure tears the partial
@@ -349,16 +317,18 @@ class Engine:
         ========== ============ =========== =================
         executor   workers      host cores  resolved
         ========== ============ =========== =================
-        auto       <= 1         any         thread
+        any        <= 1         any         thread
         auto       > 1          1           thread
         auto       > 1          >= 2        process
-        anything else                       itself (explicit)
+        explicit   > 1          any         itself
         ========== ============ =========== =================
         """
+        if workers <= 1:
+            return "thread"
         if executor != "auto":
             return executor
         cpus = cpus if cpus is not None else (os.cpu_count() or 1)
-        return "process" if workers > 1 and cpus >= 2 else "thread"
+        return "process" if cpus >= 2 else "thread"
 
     @property
     def executor_kind(self) -> str:
@@ -410,15 +380,9 @@ class Engine:
         """
         with self._pool_lock:
             threads, self._threads = self._threads, None
-            processes, self._processes = self._processes, None
-            translators, self._translators = self._translators, None
             jobs, self._jobs = self._jobs, None
         if threads is not None:
             threads.shutdown(wait=wait_for_pending)
-        if processes is not None:
-            processes.shutdown(wait=wait_for_pending)
-        if translators is not None:
-            translators.close()
         if jobs is not None:
             jobs.close(wait=wait_for_pending)
 
@@ -470,8 +434,6 @@ class Engine:
                 self._translation_stats[f"translation_{phase}_seconds"] += extra.get(
                     f"stage_translation_{phase}_seconds", 0.0
                 )
-            if extra.get("stage_translation_workers", 0.0) > 1.0:
-                self._translation_stats["translation_parallel_runs"] += 1.0
 
     def _record_verification(self, outcome) -> None:
         with self._verify_lock:
@@ -737,51 +699,6 @@ class Engine:
                 )
             return self._threads
 
-    def _process_pool(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._closed:
-                raise EngineClosedError("engine is closed")
-            if self._processes is None:
-                self._processes = ProcessPoolExecutor(max_workers=max(2, self.workers))
-            return self._processes
-
-    def _translation_pool(self) -> "TranslationPool | None":
-        """The shared-memory translation pool (``None`` when sequential).
-
-        Deliberately separate from the request pools: the translation fan-out
-        owns its worker processes and shared-memory segments, and submitting
-        translation sub-tasks to the request pool from inside a request could
-        deadlock once every worker thread is itself a waiting request.  Under
-        ``translation_workers="auto"`` the first call runs (and caches) a
-        calibration micro-benchmark and enables the pool only where parallel
-        fan-out measured at least as fast as the sequential kernel.
-        """
-        requested = self.translation_workers
-        if requested == 0 or requested == 1 or self._translation_disabled:
-            return None
-        from repro.invariants.translation import (
-            TranslationPool,
-            calibrate_parallel_translation,
-        )
-
-        if requested == "auto":
-            if not calibrate_parallel_translation():
-                self._translation_disabled = True
-                return None
-            workers = None  # pool default: cpu_count
-        else:
-            workers = int(requested)
-        with self._pool_lock:
-            if self._closed:
-                raise EngineClosedError("engine is closed")
-            if self._translators is None:
-                pool = TranslationPool(workers=workers)
-                if not pool.available:
-                    self._translation_disabled = True
-                    return None
-                self._translators = pool
-            return self._translators
-
     def _effective_solver_options(
         self, request: SynthesisRequest, budget: float | None = None
     ) -> SolverOptions | None:
@@ -845,7 +762,7 @@ class Engine:
                     served, request, submission_id, time.perf_counter() - lookup_start
                 )
             self._bump_store("store_response_misses")
-        if self._executor_kind == "process" and self.workers > 1 and wire_clean:
+        if self._executor_kind == "process" and wire_clean:
             # The production path: the whole job — reduce, solve, verify,
             # store/corpus writes — runs in a worker process.  The parent
             # does not write the store (the worker owns the write); it only
@@ -1179,9 +1096,7 @@ class Engine:
                 timings["reduction_seconds"] = 0.0
             else:
                 start = time.perf_counter()
-                built, from_cache, report = self.cache.get_or_build_with_report(
-                    job, translation_pool=self._translation_pool()
-                )
+                built, from_cache, report = self.cache.get_or_build_with_report(job)
                 timings["reduction_seconds"] = time.perf_counter() - start
                 timings.update(report.timings())
                 self._record_translation(report)
@@ -1466,19 +1381,19 @@ class Engine:
                 self._bump_store("store_solve_writes")
 
     def _run_solve(self, solver: Solver, system) -> tuple[SolverResult, float]:
-        if self._executor_kind == "solve-process" and self.workers > 1:
-            pair = self._process_pool().submit(_solve_system, solver, system).result()
-        else:
-            pair = _solve_system(solver, system)
+        """One Step-4 solve, with its own compute time (not queue latency)."""
+        start = time.perf_counter()
+        result = solver.solve(system)
+        seconds = time.perf_counter() - start
         # Kernel-evaluation accounting of the batched Step-4 engines, surfaced
         # through :meth:`stats` next to the cache/dedup counters.
         with self._solver_stats_lock:
-            self._solver_stats["solver_residual_evaluations"] += pair[0].residual_evaluations
-            self._solver_stats["solver_jacobian_evaluations"] += pair[0].jacobian_evaluations
+            self._solver_stats["solver_residual_evaluations"] += result.residual_evaluations
+            self._solver_stats["solver_jacobian_evaluations"] += result.jacobian_evaluations
             self._solver_stats["solver_batch_width_max"] = max(
-                self._solver_stats["solver_batch_width_max"], pair[0].batch_width
+                self._solver_stats["solver_batch_width_max"], result.batch_width
             )
-        return pair
+        return result, seconds
 
 
 # ---------------------------------------------------------------------------

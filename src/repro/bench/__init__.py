@@ -7,12 +7,12 @@ Use the command line entry point::
     python -m repro.bench table1            # Table 1 (literature summary)
     python -m repro.bench ablation          # Putinar vs Handelman vs Farkas
     python -m repro.bench all --quick       # everything, small parameter preset
-    python -m repro.bench table2 --solve --workers 8   # parallel Step-4 solves
+    python -m repro.bench table2 --solve --workers 8   # 8 benchmarks at a time
 
 or the programmatic API in :mod:`repro.bench.runner` and
 :mod:`repro.bench.tables`.  The runner is a thin measurement layer over
 :class:`repro.api.Engine`, so whole tables share Step 1-3 reductions and can
-fan their solves out across the engine's process pool.
+run several benchmarks at once on the engine's worker threads.
 """
 
 from repro.bench.runner import (

@@ -288,27 +288,6 @@ class QuadraticSystem:
         return CompiledSystem.from_system(self, order)
 
 
-def merge_pair_systems(system: QuadraticSystem, pairs: Sequence, executor, worker) -> None:
-    """Fan independent per-pair translations across ``executor`` and merge in order.
-
-    ``worker(pair, pair_index)`` must return a standalone
-    :class:`QuadraticSystem` (for process pools: a picklable module-level
-    function, e.g. a ``functools.partial`` over one).  Merging the per-pair
-    systems in pair-index order reproduces the sequential translation
-    constraint-for-constraint, because every generated unknown is namespaced
-    by its pair index.  Shared by the Putinar and Handelman translators so
-    the fan-out semantics can never diverge between the two schemes.
-
-    All worker results are collected *before* any of them is merged: if a
-    worker fails, its original exception propagates and ``system`` is left
-    untouched instead of holding a partial merge.
-    """
-    futures = [executor.submit(worker, pair, index) for index, pair in enumerate(pairs)]
-    translated = [future.result() for future in futures]
-    for part in translated:
-        system.merge(part)
-
-
 @dataclass(frozen=True)
 class CompiledConstraint:
     """A constraint compiled to ``x^T Q x + c^T x + b (kind) 0`` in index space."""

@@ -8,10 +8,9 @@ This package turns the one-program-at-a-time algorithms of
 * :class:`~repro.pipeline.cache.TaskCache` — memoises the exact Step 1-3
   reductions, so jobs sharing a reduction are translated once.
 * :class:`~repro.pipeline.pipeline.SynthesisPipeline` — accepts many jobs,
-  deduplicates their reductions, fans the numeric Step-4 solves out across a
-  process pool and streams per-job
-  :class:`~repro.invariants.result.SynthesisResult` values back in submission
-  order.
+  deduplicates their reductions, runs them on the engine's thread executor
+  and streams per-job :class:`~repro.invariants.result.SynthesisResult`
+  values back in submission order.
 
 Since the service-API refactor the pipeline is a thin adapter over
 :class:`repro.api.Engine`, which is what the benchmark runner

@@ -8,8 +8,9 @@ kept as the job-oriented batch view over the same execution core:
    translated exactly once.
 2. **Solve** — jobs become :class:`~repro.api.request.SynthesisRequest`
    values and run on a private :class:`~repro.api.engine.Engine`; with
-   ``workers > 1`` the Step-4 solves fan out across the engine's process
-   pool, and jobs whose reduction *and* solver coincide share a single solve.
+   ``workers > 1`` up to ``workers`` jobs run at once on the engine's worker
+   threads, and jobs whose reduction *and* solver coincide share a single
+   solve.
 3. **Stream** — per-job :class:`PipelineOutcome` values are yielded in
    submission order as soon as they are ready, each carrying the same
    :class:`~repro.invariants.result.SynthesisResult` a sequential
@@ -59,7 +60,7 @@ class PipelineOutcome:
 
 
 class SynthesisPipeline:
-    """Run many synthesis jobs with shared reductions and parallel solves.
+    """Run many synthesis jobs with shared reductions and concurrent solves.
 
     Parameters
     ----------
@@ -67,14 +68,13 @@ class SynthesisPipeline:
         An explicit Step-4 solver applied to every job.  When ``None`` (the
         default) each job's solver is resolved from its own synthesis
         options' ``strategy``/``portfolio`` knobs — so a single batch can
-        mix penalty, alternating and portfolio solves.  Solvers must be
-        picklable when ``workers > 1``; every solver in :mod:`repro.solvers`
-        is.
+        mix penalty, alternating and portfolio solves.
     workers:
-        ``0`` or ``1`` solves sequentially in-process; ``n > 1`` fans solves
-        out over the engine's pool of ``n`` worker processes.  Portfolio jobs
-        reuse that same fan-out: each pooled worker races its job's
-        strategies inside the worker process.
+        ``0`` or ``1`` runs jobs sequentially; ``n > 1`` runs up to ``n``
+        jobs at once on the engine's thread executor.  Jobs stay in-process
+        either way, so every outcome carries the live ``result`` and
+        ``task``; cores are put to work by the engine's whole-job process
+        executor (:class:`repro.api.Engine`), not here.
     cache:
         The Step 1-3 task cache; pass a shared instance to reuse reductions
         across several pipeline runs.
@@ -103,10 +103,10 @@ class SynthesisPipeline:
             cache=cache,
             solver=solver,
             solver_options=solver_options,
-            # Step-4-only fan-out: pipeline consumers read the in-process
-            # ``result``/``task`` extras, which the whole-job wire path
-            # (executor="process") deliberately does not carry.
-            executor="solve-process" if workers > 1 else "thread",
+            # Pipeline consumers read the in-process ``result``/``task``
+            # extras, which the whole-job wire path (executor="process")
+            # deliberately does not carry.
+            executor="thread",
         )
         self.cache = self.engine.cache
 
@@ -158,9 +158,8 @@ class SynthesisPipeline:
     def stream(self, jobs: Iterable[SynthesisJob], solve: bool = True) -> Iterator[PipelineOutcome]:
         """Run the batch, yielding each job's outcome as soon as it is ready.
 
-        Outcomes are yielded in submission order.  With ``workers > 1`` the
-        Step-4 solves execute concurrently while this generator assembles and
-        yields finished results.
+        Outcomes are yielded in submission order.  With ``workers > 1`` jobs
+        execute concurrently while this generator yields finished results.
         """
         jobs = list(jobs)
         # A job whose request cannot even be constructed (e.g. degree="auto"

@@ -16,21 +16,22 @@ a configurable list of strategies over it:
 * **warm-start exchange** — every strategy may seed its next restart from the
   portfolio's best-known point.
 
-Three executors are supported.  ``"thread"`` races all strategies
+Two executors are supported.  ``"thread"`` races all strategies
 concurrently (the numpy-heavy evaluation closures release the GIL for most of
 their work).  ``"sequential"`` runs the strategies cheapest-first and stops at
 the first feasible point — the optimistic "race cheap certificates before
-expensive ones" mode, and the right choice on single-core machines.
-``"process"`` fans strategies out over separate processes (no warm-start
-exchange, cancellation only between completions).  The default ``"auto"``
-picks ``"thread"`` on multi-core machines and ``"sequential"`` otherwise.
+expensive ones" mode, and the right choice on single-core machines.  The
+default ``"auto"`` picks ``"thread"`` on multi-core machines and
+``"sequential"`` otherwise.  Processes belong to the engine's whole-job
+executor (:mod:`repro.api.workers`), which runs each request — its race
+included — inside one worker process.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -58,7 +59,7 @@ STRATEGIES: dict[str, Callable[[SolverOptions], Solver]] = {
 #: penalty solver, and the bilinear block-coordinate solver.
 DEFAULT_PORTFOLIO: tuple[str, ...] = ("gauss-newton", "qclp", "alternating")
 
-EXECUTORS = ("auto", "thread", "sequential", "process")
+EXECUTORS = ("auto", "thread", "sequential")
 
 
 def strategy_names() -> tuple[str, ...]:
@@ -88,7 +89,6 @@ def make_solver(
     strategy: str = "qclp",
     options: SolverOptions | None = None,
     portfolio: Sequence[str] = (),
-    executor: str = "auto",
 ) -> Solver:
     """Instantiate the Step-4 solver named by ``strategy``.
 
@@ -97,7 +97,7 @@ def make_solver(
     :data:`DEFAULT_PORTFOLIO`).
     """
     if strategy == "portfolio":
-        return PortfolioSolver(options, strategies=tuple(portfolio) or DEFAULT_PORTFOLIO, executor=executor)
+        return PortfolioSolver(options, strategies=tuple(portfolio) or DEFAULT_PORTFOLIO)
     factory = STRATEGIES.get(strategy)
     if factory is None:
         known = ", ".join([*STRATEGIES, "portfolio"])
@@ -128,13 +128,6 @@ class StrategyOutcome:
     @property
     def feasible(self) -> bool:
         return self.result is not None and self.result.feasible
-
-
-def _run_strategy(solver: Solver, problem: CompiledProblem) -> tuple[SolverResult, float]:
-    """Process-executor entry point (module-level for picklability)."""
-    start = time.perf_counter()
-    result = solver.solve_compiled(problem)
-    return result, time.perf_counter() - start
 
 
 class PortfolioSolver(Solver):
@@ -206,8 +199,6 @@ class PortfolioSolver(Solver):
         executor = self._resolved_executor()
         if executor == "thread":
             outcomes = self._race_threads(problem, control)
-        elif executor == "process":
-            outcomes = self._race_processes(problem, control)
         else:
             outcomes = self._race_sequential(problem, control)
         return self._assemble(outcomes, control)
@@ -256,52 +247,6 @@ class PortfolioSolver(Solver):
                 for index, entry in enumerate(solvers)
             ]
             return [future.result() for future in futures]
-
-    def _race_processes(self, problem: CompiledProblem, control: SolveControl) -> list[StrategyOutcome]:
-        """Process racing: isolated strategies, first feasible completion wins.
-
-        No shared control crosses the process boundary, so there is no
-        warm-start exchange and cancellation happens between completions: once
-        a feasible result arrives the remaining futures are abandoned.
-        """
-        solvers = self._solvers()
-        remaining = control.deadline.remaining()
-        if remaining is not None:
-            solvers = [
-                (name, replace_time_limit(solver, remaining)) for name, solver in solvers
-            ]
-        outcomes: dict[str, StrategyOutcome] = {}
-        with ProcessPoolExecutor(max_workers=len(solvers)) as pool:
-            futures = {
-                pool.submit(_run_strategy, solver, problem): name for name, solver in solvers
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                stop = False
-                for future in done:
-                    name = futures[future]
-                    try:
-                        result, seconds = future.result()
-                        outcomes[name] = StrategyOutcome(name, result, seconds)
-                        if result.feasible:
-                            control.report(
-                                problem.vector(result.assignment),
-                                result.max_violation or 0.0,
-                                result.objective_value or 0.0,
-                                strategy=name,
-                            )
-                            if self.stop_on_feasible:
-                                stop = True
-                    except Exception as error:  # pragma: no cover - worker crash
-                        outcomes[name] = StrategyOutcome(name, None, 0.0, error=repr(error))
-                if stop:
-                    for future in pending:
-                        future.cancel()
-                    break
-        for name, _ in solvers:
-            outcomes.setdefault(name, StrategyOutcome(name=name, result=None, seconds=0.0, cancelled=True))
-        return [outcomes[name] for name, _ in solvers]
 
     # -- result assembly ------------------------------------------------------------------
 
@@ -368,11 +313,3 @@ class PortfolioSolver(Solver):
             strategy=best_name,
         )
 
-
-def replace_time_limit(solver: Solver, seconds: float) -> Solver:
-    """A copy-free tightening of a solver's wall-clock budget (process racing)."""
-    limit = solver.options.time_limit
-    solver.options = replace(
-        solver.options, time_limit=seconds if limit is None else min(limit, seconds)
-    )
-    return solver

@@ -106,7 +106,7 @@ def test_pipeline_releases_pools_after_each_run_but_stays_usable():
     pipeline = SynthesisPipeline(solver=small_solver(), workers=2)
     first = pipeline.run([sum_job()])
     # The batch scoped its worker pools: nothing is left running afterwards.
-    assert pipeline.engine._threads is None and pipeline.engine._processes is None
+    assert pipeline.engine._threads is None and pipeline.engine._jobs is None
     # The pipeline (and its task cache) remain usable for the next batch.
     second = pipeline.run([sum_job()])
     assert first[0].ok and second[0].ok

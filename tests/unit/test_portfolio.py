@@ -65,8 +65,9 @@ def test_portfolio_validates_configuration():
         PortfolioSolver(strategies=("qclp", "nope"))
     with pytest.raises(SynthesisError):
         PortfolioSolver(strategies=("qclp", "qclp"))  # outcomes are keyed by name
-    with pytest.raises(SynthesisError):
-        PortfolioSolver(executor="fibers")
+    for executor in ("fibers", "process"):
+        with pytest.raises(SynthesisError):
+            PortfolioSolver(executor=executor)
 
 
 # -- racing ------------------------------------------------------------------------------

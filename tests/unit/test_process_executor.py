@@ -52,15 +52,22 @@ def test_auto_executor_decision_table():
     assert resolve("auto", 4, cpus=1) == "thread"
     assert resolve("auto", 2, cpus=2) == "process"
     assert resolve("auto", 4, cpus=16) == "process"
-    # Explicit choices always win, whatever the host looks like.
+    # Explicit choices win for pooled engines, whatever the host looks like.
     assert resolve("thread", 8, cpus=16) == "thread"
     assert resolve("process", 8, cpus=1) == "process"
-    assert resolve("solve-process", 8, cpus=1) == "solve-process"
+    # A single-worker engine starts no pool and runs requests in the calling
+    # thread, so it reports "thread" whatever executor was asked for.
+    assert resolve("process", 0, cpus=8) == "thread"
+    assert resolve("process", 1, cpus=8) == "thread"
+    for workers in (0, 1):
+        with Engine(workers=workers, executor="process") as engine:
+            assert engine.executor_kind == "thread"
 
 
 def test_unknown_executor_rejected():
-    with pytest.raises(ValueError, match="unknown executor"):
-        Engine(executor="fork-bomb")
+    for executor in ("fork-bomb", "solve-process"):
+        with pytest.raises(ValueError, match="unknown executor"):
+            Engine(executor=executor)
 
 
 # -- differential: process-backed responses match thread-backed ones ---------------

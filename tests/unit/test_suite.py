@@ -127,6 +127,29 @@ def test_measure_many_survives_solver_failure():
     assert measurements[0].solve_seconds is None
 
 
+def test_measure_many_with_workers_matches_sequential():
+    """The multi-worker runner path gives the sequential rows and assignments."""
+    from repro.bench.runner import bench_engine, measure_many, request_from_benchmark
+
+    benchmarks = [get_benchmark(name) for name in ("sum", "freire1")]
+    requests = [request_from_benchmark(benchmark, quick=True) for benchmark in benchmarks]
+    rows = {}
+    assignments = {}
+    for workers in (0, 2):
+        measurements = measure_many(benchmarks, solve=True, quick=True, verbose=False, workers=workers)
+        rows[workers] = [
+            (m.name, m.system_size, m.unknowns, m.solver_status, m.strategy) for m in measurements
+        ]
+        with bench_engine(workers=workers) as engine:
+            assert engine.executor_kind == "thread"
+            assignments[workers] = [
+                response.result.assignment for response in engine.map(requests, ordered=True)
+            ]
+    assert rows[2] == rows[0]
+    assert all(status == "optimal" for *_, status, _ in rows[0])
+    assert assignments[2] == assignments[0]
+
+
 def test_quick_subset_filters_by_variable_count():
     small = quick_subset(all_benchmarks(), limit_variables=4)
     assert all(benchmark.variable_count() <= 4 for benchmark in small)
