@@ -70,16 +70,17 @@ from repro.api import (
 from repro.certify import (
     Certificate,
     CertificateCheck,
+    CheckReport,
     LiftResult,
     VerificationOutcome,
     check_certificate,
+    check_invariant,
     lift_solution,
     repair_solution,
     verify_solution,
 )
 from repro.cfg import build_cfg
 from repro.invariants import (
-    CheckReport,
     Invariant,
     QuadraticSystem,
     SynthesisOptions,
@@ -87,7 +88,6 @@ from repro.invariants import (
     SynthesisTask,
     TemplateSet,
     build_task,
-    check_invariant,
     generate_constraint_pairs,
     rec_strong_inv_synth,
     rec_weak_inv_synth,
@@ -95,7 +95,7 @@ from repro.invariants import (
     weak_inv_synth,
 )
 from repro.lang import parse_program, pretty_print
-from repro.pipeline import SynthesisJob, SynthesisPipeline, TaskCache, job_from_benchmark
+from repro.pipeline import SynthesisJob, TaskCache, job_from_benchmark
 from repro.reduction import (
     AUTO_DEGREE,
     EscalationTrace,
@@ -170,7 +170,6 @@ __all__ = [
     "SynthesisHandle",
     "SynthesisJob",
     "SynthesisOptions",
-    "SynthesisPipeline",
     "SynthesisRequest",
     "SynthesisResponse",
     "SynthesisResult",

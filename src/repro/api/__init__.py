@@ -1,7 +1,7 @@
 """repro.api — the typed service surface of the library.
 
-Every caller — library user, batch pipeline, the ``repro.bench`` CLI, a
-future HTTP/queue front-end — goes through the same front door:
+Every caller — library user, batch script, the ``repro.bench`` CLI, the
+HTTP server — goes through the same front door:
 
 >>> from repro.api import Engine, SynthesisRequest
 >>> with Engine(workers=4) as engine:                       # doctest: +SKIP

@@ -19,9 +19,8 @@ solver options)`` result table — the second of two identical requests
 reports ``shared_solve=True`` and reuses the first's solver result.
 
 The four paper-named functions in :mod:`repro.invariants.synthesis`, the
-batch :class:`~repro.pipeline.SynthesisPipeline` and the ``repro.bench``
-runner are all thin layers over this class; a future HTTP/queue front-end
-binds here as well.
+``repro.bench`` runner and the HTTP server (:mod:`repro.server`) are all thin
+layers over this class; batches go through :meth:`Engine.map`.
 
 Parallelism has one axis: with ``workers > 1`` whole requests run
 concurrently — on worker processes under ``executor="process"``, on worker
@@ -80,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: path and the engine's one parallelism axis: whole synthesize jobs ship to
 #: persistent worker processes over the JSON wire protocol
 #: (:mod:`repro.api.workers`).  ``"thread"`` runs requests in this process,
-#: which in-process batch consumers (the pipeline, the bench runner) use for
+#: which in-process batch consumers (the bench runner, batch scripts) use for
 #: the rich ``result``/``task`` extras a wire envelope cannot carry.
 #: ``"auto"`` picks ``"process"`` when the engine is pooled (``workers > 1``)
 #: and the host has at least two cores, else ``"thread"``.
@@ -92,6 +91,40 @@ SCHEDULERS = ("off", "on", "record-only")
 
 #: Remaining-deadline floor below which another escalation rung is pointless.
 _ESCALATION_MIN_BUDGET = 0.01
+
+#: The engine's event counters, in :meth:`Engine.stats` order.  All are sums
+#: except ``solver_batch_width_max``, a running maximum.
+_COUNTERS = (
+    "translation_compile_seconds",
+    "translation_fanout_seconds",
+    "translation_assemble_seconds",
+    "verify_requested",
+    "verify_passed",
+    "verify_failed",
+    "repair_rounds",
+    "repair_successes",
+    "certificates_issued",
+    "schedule_predictions",
+    "schedule_cold_starts",
+    "schedule_strategy_hits",
+    "schedule_strategy_misses",
+    "schedule_degree_hits",
+    "schedule_degree_misses",
+    "schedule_rows_recorded",
+    "schedule_record_failures",
+    "solver_residual_evaluations",
+    "solver_jacobian_evaluations",
+    "solver_batch_width_max",
+    "store_response_hits",
+    "store_response_misses",
+    "store_response_writes",
+    "store_solve_hits",
+    "store_solve_writes",
+    "store_certificates_stored",
+    "process_jobs",
+    "process_jobs_shared",
+    "process_jobs_failed",
+)
 
 
 class SynthesisHandle:
@@ -230,46 +263,19 @@ class Engine:
         self._jobs: ProcessWorkerPool | None = None
         self._inflight: dict[str, Future] = {}
         self._inflight_lock = threading.Lock()
-        self._process_stats = {
-            "process_jobs": 0,
-            "process_jobs_shared": 0,
-            "process_jobs_failed": 0,
-        }
+        self._counters: dict[str, float] = dict.fromkeys(_COUNTERS, 0)
+        self._counter_lock = threading.Lock()
         self._pool_lock = threading.Lock()
         self._solves: dict[tuple, Future] = {}
         self._solve_lock = threading.Lock()
         self._submit_lock = threading.Lock()
         self._next_id = 0
         self._closed = False
-        self._translation_lock = threading.Lock()
-        self._translation_stats = {
-            "translation_compile_seconds": 0.0,
-            "translation_fanout_seconds": 0.0,
-            "translation_assemble_seconds": 0.0,
-        }
-        self._verify_lock = threading.Lock()
-        self._verify_stats = {
-            "verify_requested": 0,
-            "verify_passed": 0,
-            "verify_failed": 0,
-            "repair_rounds": 0,
-            "repair_successes": 0,
-            "certificates_issued": 0,
-        }
         self.store: "EngineStore | None" = None
         if store is not None:
             from repro.store import open_store
 
             self.store = open_store(store)
-        self._store_lock = threading.Lock()
-        self._store_stats = {
-            "store_response_hits": 0,
-            "store_response_misses": 0,
-            "store_response_writes": 0,
-            "store_solve_hits": 0,
-            "store_solve_writes": 0,
-            "store_certificates_stored": 0,
-        }
         self.scheduler = scheduler
         self._corpus: SolveCorpus | None = None
         self._planner: Scheduler | None = None
@@ -280,23 +286,6 @@ class Engine:
                 corpus = self.store.corpus_path if self.store is not None else default_corpus_path()
             self._corpus = corpus if isinstance(corpus, SolveCorpus) else SolveCorpus(corpus)
             self._planner = Scheduler(self._corpus)
-        self._solver_stats_lock = threading.Lock()
-        self._solver_stats = {
-            "solver_residual_evaluations": 0,
-            "solver_jacobian_evaluations": 0,
-            "solver_batch_width_max": 0,
-        }
-        self._schedule_lock = threading.Lock()
-        self._schedule_stats = {
-            "schedule_predictions": 0,
-            "schedule_cold_starts": 0,
-            "schedule_strategy_hits": 0,
-            "schedule_strategy_misses": 0,
-            "schedule_degree_hits": 0,
-            "schedule_degree_misses": 0,
-            "schedule_rows_recorded": 0,
-            "schedule_record_failures": 0,
-        }
         if self._executor_kind == "process":
             # Fork the job workers now, from the constructing thread — before
             # the engine's own worker threads exist — so the pool is warm for
@@ -367,18 +356,8 @@ class Engine:
 
     def close(self, wait_for_pending: bool = True) -> None:
         """Shut the worker pools down; further submissions raise :class:`EngineClosedError`."""
-        self._closed = True
-        self.shutdown_pools(wait_for_pending=wait_for_pending)
-
-    def shutdown_pools(self, wait_for_pending: bool = True) -> None:
-        """Release the worker pools without closing the engine.
-
-        The caches survive and the pools are lazily recreated on the next
-        submission — this is how batch-scoped callers (e.g.
-        :class:`~repro.pipeline.SynthesisPipeline`) avoid keeping worker
-        processes alive between batches.
-        """
         with self._pool_lock:
+            self._closed = True
             threads, self._threads = self._threads, None
             jobs, self._jobs = self._jobs, None
         if threads is not None:
@@ -397,28 +376,19 @@ class Engine:
         with self._solve_lock:
             stats["solves_cached"] = float(len(self._solves))
         stats["submissions"] = float(self._next_id)
-        with self._translation_lock:
-            stats.update(self._translation_stats)
-        with self._verify_lock:
-            stats.update({key: float(value) for key, value in self._verify_stats.items()})
-        with self._schedule_lock:
-            stats.update({key: float(value) for key, value in self._schedule_stats.items()})
-        with self._solver_stats_lock:
-            stats.update({key: float(value) for key, value in self._solver_stats.items()})
+        with self._counter_lock:
+            stats.update({key: float(value) for key, value in self._counters.items()})
         if self._corpus is not None:
             stats["schedule_corpus_rows"] = float(len(self._corpus))
-        with self._store_lock:
-            stats.update({key: float(value) for key, value in self._store_stats.items()})
         with self._inflight_lock:
-            stats.update({key: float(value) for key, value in self._process_stats.items()})
             stats["process_inflight"] = float(len(self._inflight))
         if self.store is not None:
             stats.update(self.store.stats())
         return stats
 
-    def _bump_store(self, key: str) -> None:
-        with self._store_lock:
-            self._store_stats[key] += 1
+    def _bump(self, key: str, amount: float = 1) -> None:
+        with self._counter_lock:
+            self._counters[key] += amount
 
     def _record_translation(self, report) -> None:
         """Accumulate a reduction's translation sub-phase split into :meth:`stats`.
@@ -429,21 +399,19 @@ class Engine:
         extra = dict(report.extra_timings)
         if not extra:
             return
-        with self._translation_lock:
-            for phase in ("compile", "fanout", "assemble"):
-                self._translation_stats[f"translation_{phase}_seconds"] += extra.get(
-                    f"stage_translation_{phase}_seconds", 0.0
-                )
+        for phase in ("compile", "fanout", "assemble"):
+            self._bump(
+                f"translation_{phase}_seconds", extra.get(f"stage_translation_{phase}_seconds", 0.0)
+            )
 
     def _record_verification(self, outcome) -> None:
-        with self._verify_lock:
-            self._verify_stats["verify_requested"] += 1
-            self._verify_stats["verify_passed" if outcome.verified else "verify_failed"] += 1
-            self._verify_stats["repair_rounds"] += outcome.repair_rounds
-            if outcome.repaired:
-                self._verify_stats["repair_successes"] += 1
-            if outcome.certificate is not None:
-                self._verify_stats["certificates_issued"] += 1
+        self._bump("verify_requested")
+        self._bump("verify_passed" if outcome.verified else "verify_failed")
+        self._bump("repair_rounds", outcome.repair_rounds)
+        if outcome.repaired:
+            self._bump("repair_successes")
+        if outcome.certificate is not None:
+            self._bump("certificates_issued")
 
     # -- scheduling --------------------------------------------------------------
 
@@ -500,10 +468,6 @@ class Engine:
             task.system.size,
         )
 
-    def _bump_schedule(self, key: str) -> None:
-        with self._schedule_lock:
-            self._schedule_stats[key] += 1
-
     def _plan_solve(self, request: SynthesisRequest, job, task) -> SchedulePlan | None:
         """Predict the portfolio schedule of one fixed-degree solve.
 
@@ -517,7 +481,7 @@ class Engine:
             )
         except Exception:  # pragma: no cover - defensive: corpus corruption
             return None
-        self._bump_schedule("schedule_predictions" if plan.predicted else "schedule_cold_starts")
+        self._bump("schedule_predictions" if plan.predicted else "schedule_cold_starts")
         return plan
 
     def _maybe_record(
@@ -585,7 +549,7 @@ class Engine:
             ok = self._corpus.append(record)
         except Exception:  # pragma: no cover - defensive: recording never fails a request
             ok = False
-        self._bump_schedule("schedule_rows_recorded" if ok else "schedule_record_failures")
+        self._bump("schedule_rows_recorded" if ok else "schedule_record_failures")
 
     # -- submission --------------------------------------------------------------
 
@@ -757,11 +721,11 @@ class Engine:
             store_key = self.store.responses.key_for(request, repr(self.solver_options))
             served = self.store.responses.load(store_key)
             if served is not None:
-                self._bump_store("store_response_hits")
+                self._bump("store_response_hits")
                 return self._serve_from_store(
                     served, request, submission_id, time.perf_counter() - lookup_start
                 )
-            self._bump_store("store_response_misses")
+            self._bump("store_response_misses")
         if self._executor_kind == "process" and wire_clean:
             # The production path: the whole job — reduce, solve, verify,
             # store/corpus writes — runs in a worker process.  The parent
@@ -775,7 +739,7 @@ class Engine:
             response = self._execute_fixed(exec_request, submission_id, solver, task, enumerator)
         if store_key is not None and response.exception is None:
             if self.store.responses.store(store_key, response):
-                self._bump_store("store_response_writes")
+                self._bump("store_response_writes")
         return response
 
     @staticmethod
@@ -800,16 +764,11 @@ class Engine:
     # -- the process-backed job path ---------------------------------------------
 
     def _job_pool(self) -> ProcessWorkerPool:
+        # Built (and warmed) by the constructor; only ``close`` clears it.
         with self._pool_lock:
-            if self._closed:
-                raise EngineClosedError("engine is closed")
             if self._jobs is None:
-                self._jobs = ProcessWorkerPool(self.workers, self._worker_config())
+                raise EngineClosedError("engine is closed")
             return self._jobs
-
-    def _bump_process(self, key: str) -> None:
-        with self._inflight_lock:
-            self._process_stats[key] += 1
 
     def _process_dedup_key(self, request: SynthesisRequest) -> str:
         """In-flight dedup key: the same content hash the response store uses.
@@ -843,18 +802,18 @@ class Engine:
                 future = Future()
                 self._inflight[key] = future
         if not owner:
-            self._bump_process("process_jobs_shared")
+            self._bump("process_jobs_shared")
             try:
                 wire = future.result()
             except WorkerCrashError as exc:
                 return self._crash_envelope(request, submission_id, exc)
             return self._envelope_from_wire(wire, request, submission_id, shared=True)
-        self._bump_process("process_jobs")
+        self._bump("process_jobs")
         start = time.perf_counter()
         try:
             wire = self._job_pool().execute(request.to_dict(), deadline_epoch)
         except WorkerCrashError as exc:
-            self._bump_process("process_jobs_failed")
+            self._bump("process_jobs_failed")
             with self._inflight_lock:
                 self._inflight.pop(key, None)
             future.set_exception(exc)
@@ -1058,7 +1017,7 @@ class Engine:
         )
         if plan is not None and plan.start_degree is not None:
             merged["schedule_start_degree"] = float(plan.start_degree)
-            self._bump_schedule(
+            self._bump(
                 "schedule_degree_hits"
                 if final_degree == plan.start_degree
                 else "schedule_degree_misses"
@@ -1177,7 +1136,7 @@ class Engine:
                         cert_sha, wrote = self.store.certificates.put(certificate)
                         verification["certificate_sha"] = cert_sha
                         if wrote:
-                            self._bump_store("store_certificates_stored")
+                            self._bump("store_certificates_stored")
                     timings["verify_seconds"] = outcome.seconds
                 result = result_from_solution(
                     built,
@@ -1323,7 +1282,7 @@ class Engine:
             if stored is not None:
                 # Another process (or a previous life of this one) already
                 # paid for this solve: publish it to waiters and skip Step 4.
-                self._bump_store("store_solve_hits")
+                self._bump("store_solve_hits")
                 future.set_result(stored)
                 return stored[0], stored[1], True, schedule
         try:
@@ -1336,9 +1295,9 @@ class Engine:
             raise
         future.set_result(pair)
         if store_key is not None and self.store.solves.store(store_key, pair[0], pair[1]):
-            self._bump_store("store_solve_writes")
+            self._bump("store_solve_writes")
         if plan is not None and plan.predicted:
-            self._bump_schedule(
+            self._bump(
                 "schedule_strategy_hits"
                 if pair[0].strategy == plan.primary
                 else "schedule_strategy_misses"
@@ -1378,7 +1337,7 @@ class Engine:
                 request, self._schedule_mode(request) == "on", repr(options)
             )
             if self.store.solves.store(store_key, result, seconds, overwrite=True):
-                self._bump_store("store_solve_writes")
+                self._bump("store_solve_writes")
 
     def _run_solve(self, solver: Solver, system) -> tuple[SolverResult, float]:
         """One Step-4 solve, with its own compute time (not queue latency)."""
@@ -1387,11 +1346,11 @@ class Engine:
         seconds = time.perf_counter() - start
         # Kernel-evaluation accounting of the batched Step-4 engines, surfaced
         # through :meth:`stats` next to the cache/dedup counters.
-        with self._solver_stats_lock:
-            self._solver_stats["solver_residual_evaluations"] += result.residual_evaluations
-            self._solver_stats["solver_jacobian_evaluations"] += result.jacobian_evaluations
-            self._solver_stats["solver_batch_width_max"] = max(
-                self._solver_stats["solver_batch_width_max"], result.batch_width
+        self._bump("solver_residual_evaluations", result.residual_evaluations)
+        self._bump("solver_jacobian_evaluations", result.jacobian_evaluations)
+        with self._counter_lock:
+            self._counters["solver_batch_width_max"] = max(
+                self._counters["solver_batch_width_max"], result.batch_width
             )
         return result, seconds
 

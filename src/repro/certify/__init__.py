@@ -15,14 +15,13 @@ closes the gap, end to end:
 * :mod:`repro.certify.repair` — a CEGIS-style :func:`repair_solution` loop
   harvesting violating valuations (exact residuals + semantics-trace
   falsification) into sound template cuts and re-racing the portfolio;
-* :mod:`repro.certify.sampling` — the dynamic checking tier (absorbed from
-  ``repro.invariants.checker``) with pre-condition-derived simulation
-  arguments and reproducible seeding;
+* :mod:`repro.certify.sampling` — the dynamic checking tier
+  (:func:`check_invariant`) with pre-condition-derived simulation arguments,
+  reproducible seeding and a wall-clock budget;
 * :mod:`repro.certify.verify` — the engine-side orchestration behind
   ``SynthesisOptions(verify="none"|"sample"|"exact")``.
 
-See DESIGN.md ("Certificates and repair") for the lift/check/repair dataflow
-and the old→new map for ``repro.invariants.checker`` callers.
+See DESIGN.md ("Certificates and repair") for the lift/check/repair dataflow.
 """
 
 from repro.certify.certificate import (

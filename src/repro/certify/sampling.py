@@ -1,7 +1,7 @@
-"""The sampling verification tier (absorbed from ``repro.invariants.checker``).
+"""The sampling verification tier: re-validate a concrete invariant dynamically.
 
 A synthesized invariant should never be trusted just because the solver said
-so.  This module re-validates a concrete invariant three ways:
+so.  This module re-validates a concrete invariant two ways:
 
 * **Simulation** — execute valid runs of the program and check the invariant
   at every visited stack element (Lemma 2.1 / 2.2 say an inductive invariant
@@ -11,20 +11,21 @@ so.  This module re-validates a concrete invariant three ways:
 * **Constraint-pair sampling** — rebuild the Step-2 constraint pairs with the
   *concrete* invariant substituted for the template and falsify the resulting
   implications on random valuations.
-* **Certificate search** (optional, slower) — look for an explicit Putinar/SOS
-  certificate of every concrete constraint pair via
-  :func:`repro.solvers.sdp.check_putinar_certificate`.
 
 All randomness flows from one explicit ``rng_seed`` through private
-:class:`random.Random` instances, so verification runs are reproducible.
-This is the ``verify="sample"`` tier of the certificate subsystem; the exact
-tier lives in :mod:`repro.certify.lift` / :mod:`repro.certify.certificate`.
+:class:`random.Random` instances, so verification runs are reproducible.  A
+``time_budget`` bounds the whole check: the budget is checked between
+interpreter steps and between pair samples, and a check that runs out of it
+reports ``timed_out`` and does not pass.  This is the ``verify="sample"`` tier
+of the certificate subsystem; the exact tier, and the only certificate check,
+lives in :mod:`repro.certify.lift` / :mod:`repro.certify.certificate`.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -87,24 +88,23 @@ class CheckReport:
     simulation_elements_checked: int = 0
     pair_samples: int = 0
     pairs_checked: int = 0
-    certificate_pairs_checked: int = 0
-    certificate_failures: list[str] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
+    timed_out: bool = False
 
     @property
     def passed(self) -> bool:
-        """Whether no check produced a violation."""
-        return not self.violations and not self.certificate_failures
+        """Whether every check ran to completion without a violation."""
+        return not self.violations and not self.timed_out
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return (
+        text = (
             f"{status}: {self.simulation_runs} runs "
             f"({self.simulation_elements_checked} states), "
             f"{self.pairs_checked} constraint pairs x {self.pair_samples} samples, "
-            f"{self.certificate_pairs_checked} certificates, "
             f"{len(self.violations)} violations"
         )
+        return text + ", time budget exhausted" if self.timed_out else text
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +200,12 @@ def derive_argument_sets(
 
 
 # ---------------------------------------------------------------------------
-# The three checking tiers
+# The two checking tiers
 # ---------------------------------------------------------------------------
+
+
+def _expired(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() >= deadline
 
 
 def _simulate(
@@ -212,12 +216,16 @@ def _simulate(
     report: CheckReport,
     seed: int,
     max_steps: int,
+    deadline: float | None,
 ) -> None:
     interpreter = Interpreter(
         cfg, scheduler=RandomScheduler(seed=seed), limits=ExecutionLimits(max_steps=max_steps)
     )
     for arguments in argument_sets:
-        result = interpreter.run(arguments)
+        if _expired(deadline):
+            report.timed_out = True
+            return
+        result = interpreter.run(arguments, deadline=deadline)
         report.simulation_runs += 1
         valid = True
         for configuration in result.trace:
@@ -234,6 +242,9 @@ def _simulate(
                 report.violations.append(
                     Violation(kind="invariant", location=str(element.label), valuation=float_valuation)
                 )
+        if result.timed_out:
+            report.timed_out = True
+            return
         if result.completed and invariant.postconditions:
             main_cfg = cfg.main
             final_elements = [c.top() for c in result.trace if len(c) == 1]
@@ -255,6 +266,7 @@ def _sample_pairs(
     samples: int,
     value_range: float,
     seed: int,
+    deadline: float | None,
 ) -> None:
     adapter = _InvariantAsTemplates(invariant)
     pairs = generate_constraint_pairs(cfg, precondition, adapter)  # type: ignore[arg-type]
@@ -264,6 +276,9 @@ def _sample_pairs(
     for pair in pairs:
         names = pair.relevant_program_variables()
         for _ in range(samples):
+            if _expired(deadline):
+                report.timed_out = True
+                return
             valuation = {name: rng.uniform(-value_range, value_range) for name in names}
             if rng.random() < 0.5:
                 valuation = {name: float(round(value)) for name, value in valuation.items()}
@@ -274,25 +289,6 @@ def _sample_pairs(
                 break
 
 
-def _check_certificates(
-    cfg: ProgramCFG,
-    precondition: Precondition,
-    invariant: Invariant,
-    report: CheckReport,
-    upsilon: int,
-    epsilon: float,
-) -> None:
-    from repro.solvers.sdp import check_putinar_certificate
-
-    adapter = _InvariantAsTemplates(invariant)
-    pairs = generate_constraint_pairs(cfg, precondition, adapter)  # type: ignore[arg-type]
-    for pair in pairs:
-        report.certificate_pairs_checked += 1
-        outcome = check_putinar_certificate(pair, upsilon=upsilon, epsilon=epsilon)
-        if not outcome.feasible:
-            report.certificate_failures.append(pair.name)
-
-
 def check_invariant(
     cfg: ProgramCFG,
     precondition: Precondition,
@@ -300,13 +296,10 @@ def check_invariant(
     argument_sets: Sequence[Mapping[str, Fraction | int | float]] = (),
     pair_samples: int = 50,
     sample_range: float = 25.0,
-    with_certificates: bool = False,
-    upsilon: int = 2,
-    epsilon: float = 1e-6,
-    seed: int = 0,
     max_steps: int = 5000,
-    rng_seed: int | None = None,
+    rng_seed: int = 0,
     simulation_runs: int = 8,
+    time_budget: float | None = None,
 ) -> CheckReport:
     """Run every enabled validation of ``invariant`` and return a report.
 
@@ -322,32 +315,29 @@ def check_invariant(
     pair_samples, sample_range:
         How many random valuations to throw at each concrete constraint pair,
         and from what box.
-    with_certificates:
-        Also search for explicit SOS certificates (slow; use on small
-        programs or selected pairs).  For the exact, solver-free certificate
-        check see :func:`repro.certify.check_certificate`.
     rng_seed:
         Explicit seed of *all* randomness in this run (scheduler choices,
-        derived arguments, pair-sample valuations); falls back to the legacy
-        ``seed`` parameter when ``None``.  Equal seeds reproduce reports
-        exactly.
+        derived arguments, pair-sample valuations).  Equal seeds reproduce
+        reports exactly.
     simulation_runs:
         How many argument sets to derive when ``argument_sets`` is empty.
         Pass ``0`` to disable simulation explicitly.
+    time_budget:
+        Wall-clock seconds the whole check may take (``None``: unlimited).
+        Exact interpreter arithmetic can grow without bound on non-linear
+        programs, so the budget is checked between interpreter steps and
+        between pair samples; a check that runs out reports ``timed_out``
+        and does not pass.
     """
-    effective_seed = seed if rng_seed is None else rng_seed
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     report = CheckReport()
     runs: Sequence[Mapping[str, Fraction | int | float]] = argument_sets
     if not runs and simulation_runs > 0:
-        runs = derive_argument_sets(
-            cfg, precondition, runs=simulation_runs, rng_seed=effective_seed
-        )
+        runs = derive_argument_sets(cfg, precondition, runs=simulation_runs, rng_seed=rng_seed)
     if runs:
-        _simulate(cfg, precondition, invariant, runs, report, effective_seed, max_steps)
-    if pair_samples > 0:
+        _simulate(cfg, precondition, invariant, runs, report, rng_seed, max_steps, deadline)
+    if pair_samples > 0 and not report.timed_out:
         _sample_pairs(
-            cfg, precondition, invariant, report, pair_samples, sample_range, effective_seed + 1
+            cfg, precondition, invariant, report, pair_samples, sample_range, rng_seed + 1, deadline
         )
-    if with_certificates:
-        _check_certificates(cfg, precondition, invariant, report, upsilon, epsilon)
     return report

@@ -3,9 +3,10 @@
 :func:`verify_solution` takes a feasible Step-4 result and runs the requested
 verification tier:
 
-* ``"sample"`` — the absorbed dynamic checker (:mod:`repro.certify.sampling`):
+* ``"sample"`` — the dynamic checker (:mod:`repro.certify.sampling`):
   simulation over pre-condition-derived arguments plus constraint-pair
-  sampling, seeded from ``SynthesisOptions.verify_seed``;
+  sampling, seeded from ``SynthesisOptions.verify_seed`` and bounded by the
+  remaining request deadline;
 * ``"exact"`` — the exact lift (:mod:`repro.certify.lift`): rationalize,
   complete witnesses, and validate the resulting
   :class:`~repro.certify.certificate.Certificate` with
@@ -98,6 +99,11 @@ def verify_solution(
     outcome = VerificationOutcome(mode=mode, verified=False)
     assignment = dict(solve_result.assignment or {})
 
+    def remaining() -> float | None:
+        if deadline_seconds is None:
+            return None
+        return max(0.0, deadline_seconds - (time.perf_counter() - start))
+
     if mode == "sample":
 
         def validate_sample(candidate: Mapping[str, float]) -> tuple[bool, object]:
@@ -107,16 +113,17 @@ def verify_solution(
                 task.precondition,
                 invariant,
                 rng_seed=options.verify_seed,
+                time_budget=remaining(),
             )
             return report.passed, report
 
         verified, report = validate_sample(assignment)
         outcome.report = report  # type: ignore[assignment]
         outcome.verified = verified
-        if not verified:
-            repair = _repair(
-                task, assignment, validate_sample, options, solver_options, deadline_seconds, start
-            )
+        if report.timed_out:  # type: ignore[attr-defined]
+            outcome.reason = f"request deadline reached during the sampling check: {report.summary()}"
+        elif not verified:
+            repair = _repair(task, assignment, validate_sample, options, solver_options, remaining())
             outcome.repair_rounds = repair.rounds_used
             if repair.ok:
                 outcome.verified = True
@@ -131,9 +138,8 @@ def verify_solution(
             # The lift honours whatever remains of the request deadline (its
             # own default budget caps unlimited requests); an exhausted
             # deadline degrades to a near-immediate unverified outcome.
-            budget = 120.0
-            if deadline_seconds is not None:
-                budget = max(0.05, deadline_seconds - (time.perf_counter() - start))
+            budget = remaining()
+            budget = 120.0 if budget is None else max(0.05, budget)
             lift = lift_solution(task, candidate, time_budget=budget)
             if not lift.ok or lift.certificate is None:
                 return False, lift
@@ -151,9 +157,7 @@ def verify_solution(
         else:
             outcome.reason = lift.reason  # type: ignore[union-attr]
             outcome.details["exact_violations"] = float(len(lift.violations))  # type: ignore[union-attr]
-            repair = _repair(
-                task, assignment, validate_exact, options, solver_options, deadline_seconds, start
-            )
+            repair = _repair(task, assignment, validate_exact, options, solver_options, remaining())
             outcome.repair_rounds = repair.rounds_used
             if repair.ok:
                 outcome.verified = True
@@ -179,14 +183,10 @@ def _repair(
     validate,
     options: "SynthesisOptions",
     solver_options: SolverOptions | None,
-    deadline_seconds: float | None,
-    start: float,
+    remaining: float | None,
 ) -> RepairOutcome:
     if options.max_repair_rounds <= 0:
         return RepairOutcome(ok=False)
-    remaining: float | None = None
-    if deadline_seconds is not None:
-        remaining = max(0.0, deadline_seconds - (time.perf_counter() - start))
     # Repair is an escalation mechanism: it always re-races the portfolio
     # (the request's own `portfolio` line-up when given), because the pinned
     # strategy already produced the rejected solution.

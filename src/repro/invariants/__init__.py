@@ -13,8 +13,9 @@ Pipeline (Sections 3 and 4 of the paper):
    ``StrongInvSynth``, ``WeakInvSynth``, ``RecStrongInvSynth`` and
    ``RecWeakInvSynth`` wired to the Step-4 solvers of :mod:`repro.solvers`.
 
-:mod:`repro.invariants.checker` independently re-validates any synthesized
-invariant, both by exact certificate substitution and by simulation.
+Independent re-validation of a synthesized invariant lives in
+:mod:`repro.certify`: the exact certificate check and the sampling tier
+(:func:`repro.certify.check_invariant`).
 """
 
 from repro.invariants.constraints import ConstraintPair
@@ -34,12 +35,7 @@ from repro.invariants.synthesis import (
 )
 from repro.invariants.template import PostTemplateEntry, TemplateEntry, TemplateSet
 
-# Imported last: the checker is now a shim over repro.certify.sampling, whose
-# imports re-enter this package's submodules.
-from repro.invariants.checker import CheckReport, check_invariant
-
 __all__ = [
-    "CheckReport",
     "ConstraintKind",
     "ConstraintPair",
     "Invariant",
@@ -52,7 +48,6 @@ __all__ = [
     "TemplateEntry",
     "TemplateSet",
     "build_task",
-    "check_invariant",
     "generate_constraint_pairs",
     "handelman_translate",
     "putinar_translate",

@@ -17,7 +17,7 @@ import threading
 import time
 from typing import TYPE_CHECKING
 
-from repro.reduction.cache import StageCache
+from repro.reduction.cache import StageCache, release_key_lock
 from repro.reduction.plan import ReductionPlan, ReductionReport, compile_plan
 from repro.reduction.task import STAGE_NAMES, SynthesisTask
 
@@ -92,28 +92,30 @@ class TaskCache:
                 return cached, True, _TASK_HIT_REPORT
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         with key_lock:
-            with self._lock:
-                cached = self._tasks.get(key)
-                if cached is not None:
-                    self.hits += 1
-                    return cached, True, _TASK_HIT_REPORT
-            start = time.perf_counter()
-            task, report = plan.execute(cache=self.stages)
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self._tasks[key] = task
-                self._jobs[key] = job
-                self.misses += 1
-                self.build_seconds += elapsed
-                if self.max_entries is not None:
-                    # FIFO bound (dicts preserve insertion order): evict the
-                    # oldest task together with its pinned job and key lock.
-                    while len(self._tasks) > self.max_entries:
-                        oldest = next(iter(self._tasks))
-                        self._tasks.pop(oldest)
-                        self._jobs.pop(oldest, None)
-                        self._key_locks.pop(oldest, None)
-            return task, False, report
+            try:
+                with self._lock:
+                    cached = self._tasks.get(key)
+                    if cached is not None:
+                        self.hits += 1
+                        return cached, True, _TASK_HIT_REPORT
+                start = time.perf_counter()
+                task, report = plan.execute(cache=self.stages)
+                elapsed = time.perf_counter() - start
+                with self._lock:
+                    self._tasks[key] = task
+                    self._jobs[key] = job
+                    self.misses += 1
+                    self.build_seconds += elapsed
+                    if self.max_entries is not None:
+                        # FIFO bound (dicts preserve insertion order): evict
+                        # the oldest task together with its pinned job.
+                        while len(self._tasks) > self.max_entries:
+                            oldest = next(iter(self._tasks))
+                            self._tasks.pop(oldest)
+                            self._jobs.pop(oldest, None)
+                return task, False, report
+            finally:
+                release_key_lock(self._lock, self._key_locks, key, key_lock)
 
     def plan_for(self, job: "SynthesisJob") -> ReductionPlan:
         """The staged reduction plan of one job (compiled fresh, cheap)."""

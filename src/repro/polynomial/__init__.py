@@ -21,11 +21,8 @@ from repro.polynomial.compiled import (
     CompiledBlock,
     CompiledPolynomial,
     QuadraticTriplets,
-    coefficient_vector,
     lower_block,
-    lower_coefficient_matrix,
     lower_quadratic,
-    monomial_index,
 )
 from repro.polynomial.monomial import Monomial
 from repro.polynomial.ordering import (
@@ -42,10 +39,7 @@ from repro.polynomial.polynomial import Polynomial
 from repro.polynomial.sos import (
     GramEncoding,
     gram_matrix_encoding,
-    is_numerically_psd,
-    project_to_psd,
     sos_basis,
-    sos_from_gram,
 )
 
 __all__ = [
@@ -55,17 +49,11 @@ __all__ = [
     "MonomialOrder",
     "Polynomial",
     "QuadraticTriplets",
-    "coefficient_vector",
     "lower_block",
-    "lower_coefficient_matrix",
     "lower_quadratic",
-    "monomial_index",
     "GramEncoding",
     "gram_matrix_encoding",
     "sos_basis",
-    "sos_from_gram",
-    "is_numerically_psd",
-    "project_to_psd",
     "parse_polynomial",
     "lex_key",
     "grlex_key",

@@ -14,8 +14,6 @@ handful of vectorised operations with no ``Fraction`` arithmetic at all:
 * :class:`QuadraticTriplets` / :func:`lower_quadratic` — the degree-<=2
   special case used by the QCLP machinery: constants, linear triplets and
   bilinear triplets, ready to be fed into sparse matrices.
-* :func:`lower_coefficient_matrix` — the dense coefficient-matching matrix of
-  the SOS feasibility solver, assembled in one pass.
 * :class:`CoefficientPool` / :func:`lower_mixed` / :func:`lower_gram_triples` —
   the exact Step-3 lowering: mixed template polynomials become flat exponent
   matrices plus unknown-id and coefficient-pool-id columns, and the Gram/
@@ -365,41 +363,3 @@ def lower_quadratic(
         quad_right=np.asarray(quad_right, dtype=np.int64),
         quad_values=np.asarray(quad_values, dtype=np.float64),
     )
-
-
-def monomial_index(polynomials: Iterable[Polynomial]) -> dict[Monomial, int]:
-    """A deterministic index of every monomial occurring in ``polynomials``.
-
-    Iteration order of the inputs decides the index (first occurrence wins),
-    matching the historical behaviour of the SOS coefficient-matching setup.
-    """
-    index: dict[Monomial, int] = {}
-    for polynomial in polynomials:
-        for monomial in polynomial._terms:
-            if monomial not in index:
-                index[monomial] = len(index)
-    return index
-
-
-def lower_coefficient_matrix(
-    polynomials: Sequence[Polynomial], index: Mapping[Monomial, int]
-) -> np.ndarray:
-    """Dense ``(monomials, polynomials)`` coefficient matrix over ``index``.
-
-    Column ``j`` holds the coefficients of ``polynomials[j]`` with respect to
-    the monomial basis fixed by ``index`` — the linear coefficient-matching
-    system ``A x = b`` of the SOS feasibility solver.
-    """
-    matrix = np.zeros((len(index), len(polynomials)))
-    for column, polynomial in enumerate(polynomials):
-        for monomial, coefficient in polynomial.items():
-            matrix[index[monomial], column] += float(coefficient)
-    return matrix
-
-
-def coefficient_vector(polynomial: Polynomial, index: Mapping[Monomial, int]) -> np.ndarray:
-    """Dense coefficient vector of one polynomial over a monomial index."""
-    vector = np.zeros(len(index))
-    for monomial, coefficient in polynomial.items():
-        vector[index[monomial]] = float(coefficient)
-    return vector

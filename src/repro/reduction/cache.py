@@ -4,13 +4,15 @@ A :class:`StageCache` memoises the output of each reduction stage under its
 stage fingerprint (see :meth:`repro.reduction.plan.ReductionPlan`): requests
 sharing any *prefix* of the reduction — same program but a different degree,
 same constraint pairs but a different Upsilon — reuse the shared stages and
-rebuild only what actually differs.  This replaces the whole-task-keyed
-memoisation that :class:`repro.pipeline.cache.TaskCache` used to implement
-internally (the task cache still exists, as the task-level view over this
-cache).
+rebuild only what actually differs.  :class:`repro.pipeline.cache.TaskCache`
+is the task-level view over this cache.  (It stays in :mod:`repro.pipeline`
+rather than moving here because the repository benchmark's traced run wraps
+it by that module path.)
 
 Builds of distinct keys run concurrently; builds of the same key are
-serialised behind a per-key lock so each stage is computed exactly once.
+serialised behind a per-key lock so each stage is computed exactly once.  A
+key lock lives only while its build is in flight, so builds that raise leave
+nothing behind and the table stays as bounded as the cached values.
 """
 
 from __future__ import annotations
@@ -20,6 +22,16 @@ import time
 from typing import Callable, Mapping
 
 from repro.reduction.task import STAGE_NAMES
+
+
+def release_key_lock(lock: threading.Lock, key_locks: dict, key: tuple, key_lock) -> None:
+    """Drop ``key``'s build lock once its build is over, whether it stored a
+    value (later lookups hit without locking) or raised (nothing to guard).
+    A waiter still holding ``key_lock`` re-checks the table after acquiring
+    it, so only the lock registered for ``key`` now is dropped."""
+    with lock:
+        if key_locks.get(key) is key_lock:
+            del key_locks[key]
 
 
 class StageCounter:
@@ -82,30 +94,33 @@ class StageCache:
             if key in values:
                 counter.hits += 1
                 return values[key], True, 0.0
-            key_lock = self._key_locks.setdefault((stage, *key), threading.Lock())
+            lock_key = (stage, *key)
+            key_lock = self._key_locks.setdefault(lock_key, threading.Lock())
         with key_lock:
-            with self._lock:
-                if key in values:
-                    counter.hits += 1
-                    return values[key], True, 0.0
-            start = time.perf_counter()
-            value = builder()
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                values[key] = value
-                if pin is not None:
-                    self._pins[stage][key] = pin
-                counter.misses += 1
-                counter.build_seconds += elapsed
-                if self.max_entries is not None:
-                    # FIFO bound per stage (dicts preserve insertion order):
-                    # evict the oldest artifact with its pin and key lock.
-                    while len(values) > self.max_entries:
-                        oldest = next(iter(values))
-                        values.pop(oldest)
-                        self._pins[stage].pop(oldest, None)
-                        self._key_locks.pop((stage, *oldest), None)
-            return value, False, elapsed
+            try:
+                with self._lock:
+                    if key in values:
+                        counter.hits += 1
+                        return values[key], True, 0.0
+                start = time.perf_counter()
+                value = builder()
+                elapsed = time.perf_counter() - start
+                with self._lock:
+                    values[key] = value
+                    if pin is not None:
+                        self._pins[stage][key] = pin
+                    counter.misses += 1
+                    counter.build_seconds += elapsed
+                    if self.max_entries is not None:
+                        # FIFO bound per stage (dicts preserve insertion
+                        # order): evict the oldest artifact with its pin.
+                        while len(values) > self.max_entries:
+                            oldest = next(iter(values))
+                            values.pop(oldest)
+                            self._pins[stage].pop(oldest, None)
+                return value, False, elapsed
+            finally:
+                release_key_lock(self._lock, self._key_locks, lock_key, key_lock)
 
     def stats(self) -> dict[str, float]:
         """Per-stage hit/miss counters and build times, flat (for dashboards)."""

@@ -12,6 +12,12 @@ different Upsilon) recompute only the stages that actually differ.
 The assembled :class:`SynthesisTask` is byte-for-byte equivalent to what the
 historical monolithic ``build_task`` produced; the property tests in
 ``tests/property/test_reduction_equivalence.py`` pin that down.
+
+The plan calls each stage through this module's ``run_<stage>`` names (not
+through :mod:`repro.reduction.stages`), so replacing one of them here — as
+the repository benchmark's traced run does to time the stages — reaches
+every reduction.  ``tests/integration/test_traced_run.py`` keeps that hook
+working.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ candidate invariants with strict inequalities.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -40,6 +41,7 @@ class RunResult:
     return_value: Fraction | None
     steps: int
     stuck_reason: str | None = field(default=None)
+    timed_out: bool = False
 
     @property
     def completed(self) -> bool:
@@ -75,8 +77,15 @@ class Interpreter:
 
     # -- public API ------------------------------------------------------------
 
-    def run(self, arguments: Mapping[str, Fraction | int | float]) -> RunResult:
-        """Execute one run of the entry function on the given arguments."""
+    def run(
+        self, arguments: Mapping[str, Fraction | int | float], deadline: float | None = None
+    ) -> RunResult:
+        """Execute one run of the entry function on the given arguments.
+
+        ``deadline`` is a :func:`time.monotonic` instant checked between
+        steps: a run still going when it passes stops there, truncated, with
+        ``timed_out=True``.
+        """
         self._scheduler.reset()
         main_cfg = self._cfg.main
         element = StackElement(
@@ -115,6 +124,15 @@ class Interpreter:
                 return_value = finished_value
             trace.append(configuration)
             steps += 1
+            if deadline is not None and configuration and time.monotonic() >= deadline:
+                return RunResult(
+                    trace=trace,
+                    terminated=False,
+                    truncated=True,
+                    return_value=None,
+                    steps=steps,
+                    timed_out=True,
+                )
 
         terminated = not configuration
         truncated = bool(configuration) and steps >= self._limits.max_steps

@@ -26,14 +26,15 @@ problem IR:
 * :class:`~repro.solvers.portfolio.PortfolioSolver` — races a configurable
   strategy list on one compiled problem with a shared deadline,
   first-feasible-wins cancellation and warm-start exchange.
-* :mod:`repro.solvers.sdp` — sum-of-squares feasibility for *fixed* template
-  coefficients via alternating projections onto the PSD cone; used by the
-  certificate checker.
 * :class:`~repro.solvers.strong.RepresentativeEnumerator` — the practical
   substitute for the Grigor'ev–Vorobjov procedure of Strong synthesis:
   multi-start search plus solution clustering.
 * :mod:`repro.solvers.farkas` — the linear baseline in the spirit of
   [Colón et al. 2003] used for comparison experiments.
+
+Every solver works in floats.  Whether a solution really yields an invariant
+is decided outside this package, by the exact rational certificate of
+:mod:`repro.certify` (``lift_solution`` + ``check_certificate``).
 """
 
 from repro.solvers.alternating import AlternatingSolver
@@ -63,7 +64,6 @@ from repro.solvers.problem import (
     compile_problem,
 )
 from repro.solvers.qclp import GaussNewtonSolver, PenaltyQCLPSolver
-from repro.solvers.sdp import SOSFeasibilityResult, check_putinar_certificate, solve_sos_feasibility
 from repro.solvers.strong import RepresentativeEnumerator
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "PenaltyQCLPSolver",
     "PortfolioSolver",
     "RepresentativeEnumerator",
-    "SOSFeasibilityResult",
     "STRATEGIES",
     "SolveControl",
     "Solver",
@@ -86,13 +85,11 @@ __all__ = [
     "SolverResult",
     "batched_least_squares",
     "batched_penalty_descent",
-    "check_putinar_certificate",
     "compile_problem",
     "farkas_translate",
     "linear_baseline_system",
     "make_solver",
     "run_multistart",
-    "solve_sos_feasibility",
     "start_batch",
     "strategy_names",
     "winning_member",

@@ -7,6 +7,7 @@ demonstrably goes through a repair round to a verified result.
 """
 
 import dataclasses
+import time
 
 import pytest
 
@@ -102,6 +103,32 @@ def test_sample_tier_and_counters():
     assert response.certificate is None  # sampling does not issue certificates
     assert stats["verify_requested"] == 1.0
     assert stats["verify_passed"] == 1.0
+
+
+def test_sample_tier_honours_the_request_deadline():
+    """Simulating oscillator in exact arithmetic never ends in practice (each
+    loop iteration roughly doubles the cost of the next), so the sample tier
+    must stop at the request deadline and say so."""
+    benchmark = get_benchmark("oscillator")
+    job = job_from_benchmark(benchmark, quick=True)
+    deadline = 3.0
+    request = SynthesisRequest(
+        program=benchmark.source,
+        precondition=benchmark.precondition,
+        objective=benchmark.objective(),
+        options=dataclasses.replace(job.options, verify="sample"),
+        solver_options=SolverOptions(restarts=1, max_iterations=150, time_limit=15.0),
+        deadline=deadline,
+    )
+    start = time.perf_counter()
+    with Engine() as engine:
+        response = engine.synthesize(request)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3 * deadline
+    assert SynthesisResponse.from_json(response.to_json()) == response
+    assert response.status == "ok"  # the solve itself takes well under a second
+    assert response.verification["verified"] is False
+    assert "deadline" in response.verification["reason"]
 
 
 def test_strong_modes_reject_verification_up_front():

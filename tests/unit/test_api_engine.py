@@ -257,6 +257,38 @@ def test_stats_expose_cache_counters(engine):
     assert "entries" in stats and "solves_cached" in stats
 
 
+#: The counters ``Engine().stats()`` serves (``/v1/stats`` exposes them to
+#: operators): an engine without a store or a schedule corpus.
+EXPECTED_ENGINE_STATS = [
+    "entries", "hits", "misses", "build_seconds",
+    *(
+        f"stage_{stage}_{counter}"
+        for stage in ("frontend", "preconditions", "templates", "pairs", "translation")
+        for counter in ("entries", "hits", "misses", "build_seconds")
+    ),
+    "stage_hits", "stage_misses", "stage_build_seconds",
+    "solves_cached", "submissions",
+    "translation_compile_seconds", "translation_fanout_seconds", "translation_assemble_seconds",
+    "verify_requested", "verify_passed", "verify_failed",
+    "repair_rounds", "repair_successes", "certificates_issued",
+    "schedule_predictions", "schedule_cold_starts",
+    "schedule_strategy_hits", "schedule_strategy_misses",
+    "schedule_degree_hits", "schedule_degree_misses",
+    "schedule_rows_recorded", "schedule_record_failures",
+    "solver_residual_evaluations", "solver_jacobian_evaluations", "solver_batch_width_max",
+    "store_response_hits", "store_response_misses", "store_response_writes",
+    "store_solve_hits", "store_solve_writes", "store_certificates_stored",
+    "process_jobs", "process_jobs_shared", "process_jobs_failed", "process_inflight",
+]
+
+
+def test_stats_key_set_is_pinned():
+    with Engine() as fresh:
+        stats = fresh.stats()
+    assert sorted(stats) == sorted(EXPECTED_ENGINE_STATS)
+    assert all(isinstance(value, float) and value == 0.0 for value in stats.values())
+
+
 def test_stats_accumulate_solver_kernel_counters():
     with Engine(solver_options=QUICK_SOLVE) as engine:
         engine.synthesize(request_for("sum"))
@@ -264,6 +296,13 @@ def test_stats_accumulate_solver_kernel_counters():
     assert stats["solver_residual_evaluations"] > 0
     assert stats["solver_jacobian_evaluations"] > 0
     assert stats["solver_batch_width_max"] >= 1
+    # A running maximum, not a sum: a second, identical-width solve keeps it.
+    with Engine(solver_options=QUICK_SOLVE) as engine:
+        engine.synthesize(request_for("sum"))
+        engine.synthesize(request_for("sum", solver_options=SolverOptions(restarts=1, max_iterations=61)))
+        again = engine.stats()
+    assert again["solver_batch_width_max"] == stats["solver_batch_width_max"]
+    assert again["solver_residual_evaluations"] > stats["solver_residual_evaluations"]
 
 
 # -- JSON round-trip of the whole loop ---------------------------------------------

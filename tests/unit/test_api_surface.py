@@ -53,7 +53,6 @@ EXPECTED_REPRO_ALL = [
     "SynthesisHandle",
     "SynthesisJob",
     "SynthesisOptions",
-    "SynthesisPipeline",
     "SynthesisRequest",
     "SynthesisResponse",
     "SynthesisResult",

@@ -149,6 +149,17 @@ def test_check_invariant_simulates_without_explicit_arguments(sum_cfg, sum_preco
     assert not report.passed
 
 
+def test_check_invariant_stops_at_its_time_budget(sum_cfg, sum_precondition):
+    from repro.invariants.result import Invariant
+
+    invariant = Invariant(assertions={})
+    report = check_invariant(sum_cfg, sum_precondition, invariant, time_budget=0.0)
+    assert report.timed_out and not report.passed
+    assert not report.violations
+    assert "time budget exhausted" in report.summary()
+    assert check_invariant(sum_cfg, sum_precondition, invariant, time_budget=60.0).passed
+
+
 def test_check_invariant_is_reproducible_per_seed(sum_cfg, sum_precondition):
     from repro.invariants.result import Invariant
 

@@ -6,11 +6,8 @@ import pytest
 from repro.errors import PolynomialError
 from repro.polynomial.compiled import (
     CompiledPolynomial,
-    coefficient_vector,
     lower_block,
-    lower_coefficient_matrix,
     lower_quadratic,
-    monomial_index,
 )
 from repro.polynomial.parse import parse_polynomial
 
@@ -104,21 +101,3 @@ def test_lower_quadratic_reconstructs_values():
 def test_lower_quadratic_rejects_cubic_terms():
     with pytest.raises(PolynomialError):
         lower_quadratic([parse_polynomial("x^3")], {"x": 0})
-
-
-def test_coefficient_matrix_round_trip():
-    polynomials = [parse_polynomial("x^2 + 2*y"), parse_polynomial("y - 3")]
-    index = monomial_index(polynomials)
-    matrix = lower_coefficient_matrix(polynomials, index)
-    assert matrix.shape == (len(index), 2)
-    for column, polynomial in enumerate(polynomials):
-        vector = coefficient_vector(polynomial, index)
-        assert matrix[:, column] == pytest.approx(vector)
-
-
-def test_monomial_index_is_deterministic():
-    polynomials = [parse_polynomial("x + y"), parse_polynomial("y + z^2")]
-    first = monomial_index(polynomials)
-    second = monomial_index(polynomials)
-    assert first == second
-    assert sorted(first.values()) == list(range(len(first)))

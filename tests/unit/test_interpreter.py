@@ -1,5 +1,6 @@
 """Unit tests for repro.semantics.interpreter."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,15 @@ def test_step_limit_truncates_infinite_loop():
     result = run_program(source, {"x": 0}, limits=ExecutionLimits(max_steps=50))
     assert result.truncated
     assert not result.completed
+
+
+def test_deadline_stops_a_run_between_steps():
+    source = "f(x) { while x >= 0 do x := x + 1 od; return x }"
+    cfg = build_cfg(parse_program(source))
+    result = Interpreter(cfg).run({"x": 0}, deadline=time.monotonic())
+    assert result.timed_out and result.truncated and not result.completed
+    assert result.steps == 1
+    assert not Interpreter(cfg, limits=ExecutionLimits(max_steps=50)).run({"x": 0}).timed_out
 
 
 def test_recursion_returns_correct_value(recursive_sum_source):

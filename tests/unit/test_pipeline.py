@@ -1,9 +1,10 @@
-"""Tests of the batch synthesis pipeline (repro.pipeline)."""
+"""Tests of batch runs: job descriptions, the task cache and ``Engine.map``."""
 
 import pytest
 
+from repro.api import Engine, SynthesisRequest
 from repro.invariants.synthesis import SynthesisOptions, weak_inv_synth
-from repro.pipeline import SynthesisJob, SynthesisPipeline, TaskCache, job_from_benchmark
+from repro.pipeline import SynthesisJob, TaskCache, job_from_benchmark
 from repro.solvers.base import SolverOptions
 from repro.solvers.qclp import PenaltyQCLPSolver
 from repro.suite.registry import get_benchmark
@@ -17,6 +18,22 @@ def small_solver() -> PenaltyQCLPSolver:
 
 def sum_job() -> SynthesisJob:
     return job_from_benchmark(get_benchmark("sum"), quick=True)
+
+
+def request_for(job: SynthesisJob, solve: bool = True) -> SynthesisRequest:
+    return SynthesisRequest(
+        program=job.source,
+        mode="weak",
+        precondition=job.precondition,
+        objective=job.objective,
+        options=job.options,
+        request_id=job.name,
+        reduce_only=not solve,
+    )
+
+
+def run(engine: Engine, jobs, solve: bool = True):
+    return list(engine.map([request_for(job, solve) for job in jobs], ordered=True))
 
 
 def test_job_from_benchmark_quick_preset_lowers_upsilon():
@@ -44,19 +61,33 @@ def test_task_cache_builds_once():
     assert len(cache) == 0
 
 
+def test_failed_builds_leave_no_key_locks():
+    """A bounded cache stays bounded when every build raises."""
+    cache = TaskCache(max_entries=4)
+    with Engine(cache=cache) as engine:
+        jobs = [
+            SynthesisJob(name=f"broken-{i}", source=f"not a program {i}", options=QUICK)
+            for i in range(50)
+        ]
+        responses = run(engine, jobs, solve=False)
+    assert all(response.status == "error" for response in responses)
+    assert len(cache._key_locks) == 0
+    assert len(cache.stages._key_locks) == 0
+
+
 def test_reduce_only_run_yields_tasks_without_results():
-    pipeline = SynthesisPipeline(solver=small_solver())
-    outcomes = pipeline.run([sum_job()], solve=False)
-    assert len(outcomes) == 1
-    outcome = outcomes[0]
-    assert outcome.ok and outcome.result is None
-    assert outcome.task is not None and outcome.task.system.size > 0
+    with Engine(solver=small_solver()) as engine:
+        responses = run(engine, [sum_job()], solve=False)
+    assert len(responses) == 1
+    response = responses[0]
+    assert response.ok and response.status == "reduced" and response.result is None
+    assert response.task is not None and response.task.system.size > 0
 
 
 def test_sequential_pipeline_matches_weak_inv_synth():
     benchmark = get_benchmark("sum")
-    pipeline = SynthesisPipeline(solver=small_solver())
-    outcome = pipeline.run([job_from_benchmark(benchmark, quick=True)])[0]
+    with Engine(solver=small_solver()) as engine:
+        response = run(engine, [job_from_benchmark(benchmark, quick=True)])[0]
     reference = weak_inv_synth(
         benchmark.source,
         benchmark.precondition,
@@ -64,60 +95,51 @@ def test_sequential_pipeline_matches_weak_inv_synth():
         benchmark.options(upsilon=1),
         solver=small_solver(),
     )
-    assert outcome.ok
-    assert outcome.result.solver_status == reference.solver_status
-    assert outcome.result.assignment == reference.assignment
+    assert response.ok
+    assert response.result.solver_status == reference.solver_status
+    assert response.result.assignment == reference.assignment
     if reference.invariant is not None:
-        assert outcome.result.invariant.assertions == reference.invariant.assertions
+        assert response.result.invariant.assertions == reference.invariant.assertions
 
 
 def test_duplicate_jobs_share_reduction_and_solve():
-    pipeline = SynthesisPipeline(solver=small_solver())
-    job = sum_job()
-    outcomes = pipeline.run([job, job])
-    assert not outcomes[0].from_cache and outcomes[1].from_cache
-    assert not outcomes[0].shared_solve and outcomes[1].shared_solve
-    assert outcomes[0].result.assignment == outcomes[1].result.assignment
-    assert pipeline.cache.stats()["misses"] == 1.0
+    with Engine(solver=small_solver()) as engine:
+        job = sum_job()
+        responses = run(engine, [job, job])
+        assert not responses[0].from_cache and responses[1].from_cache
+        assert not responses[0].shared_solve and responses[1].shared_solve
+        assert responses[0].result.assignment == responses[1].result.assignment
+        assert engine.cache.stats()["misses"] == 1.0
 
 
 def test_bad_job_does_not_poison_the_batch():
     broken = SynthesisJob(name="broken", source="this is not a program", options=QUICK)
-    pipeline = SynthesisPipeline(solver=small_solver())
-    outcomes = pipeline.run([broken, sum_job()])
-    assert not outcomes[0].ok and outcomes[0].result is None
-    assert "Traceback" in outcomes[0].error
-    assert outcomes[1].ok and outcomes[1].result is not None
+    with Engine(solver=small_solver()) as engine:
+        responses = run(engine, [broken, sum_job()])
+    assert responses[0].status == "error" and responses[0].result is None
+    assert "Traceback" in responses[0].error.traceback
+    assert responses[1].ok and responses[1].result is not None
 
 
 def test_pipeline_rejects_negative_workers():
     with pytest.raises(ValueError):
-        SynthesisPipeline(workers=-1)
+        Engine(workers=-1)
 
 
 def test_pipeline_context_manager_closes_engine_pools():
-    with SynthesisPipeline(solver=small_solver(), workers=2) as pipeline:
-        outcomes = pipeline.run([sum_job()])
-        assert outcomes[0].ok
-    assert pipeline.engine.closed
-
-
-def test_pipeline_releases_pools_after_each_run_but_stays_usable():
-    pipeline = SynthesisPipeline(solver=small_solver(), workers=2)
-    first = pipeline.run([sum_job()])
-    # The batch scoped its worker pools: nothing is left running afterwards.
-    assert pipeline.engine._threads is None and pipeline.engine._jobs is None
-    # The pipeline (and its task cache) remain usable for the next batch.
-    second = pipeline.run([sum_job()])
-    assert first[0].ok and second[0].ok
-    assert second[0].from_cache
-    pipeline.close()
+    with Engine(solver=small_solver(), workers=2, executor="thread") as engine:
+        responses = run(engine, [sum_job()])
+        assert responses[0].ok
+    assert engine.closed
+    assert engine._threads is None and engine._jobs is None
 
 
 def test_process_pool_matches_sequential():
     jobs = [sum_job(), job_from_benchmark(get_benchmark("freire1"), quick=True)]
-    sequential = SynthesisPipeline(solver=small_solver(), workers=0).run(jobs)
-    pooled = SynthesisPipeline(solver=small_solver(), workers=2).run(jobs)
+    with Engine(solver=small_solver(), workers=0) as engine:
+        sequential = run(engine, jobs)
+    with Engine(solver=small_solver(), workers=2, executor="thread") as engine:
+        pooled = run(engine, jobs)
     for left, right in zip(sequential, pooled):
         assert left.ok and right.ok
         assert left.result.solver_status == right.result.solver_status
@@ -126,8 +148,8 @@ def test_process_pool_matches_sequential():
 
 def test_stream_yields_in_submission_order():
     jobs = [job_from_benchmark(get_benchmark(name), quick=True) for name in ("sum", "freire1")]
-    pipeline = SynthesisPipeline(solver=small_solver())
-    names = [outcome.job.name for outcome in pipeline.stream(jobs)]
+    with Engine(solver=small_solver(), workers=2, executor="thread") as engine:
+        names = [response.request_id for response in run(engine, jobs)]
     assert names == ["sum", "freire1"]
 
 
@@ -139,18 +161,18 @@ def test_jobs_differing_only_in_strategy_share_reduction_not_solve():
     gauss = job_from_benchmark(get_benchmark("sum"), quick=True, strategy="gauss-newton")
     assert qclp.reduction_key() == gauss.reduction_key()
     assert qclp.solve_key() != gauss.solve_key()
-    pipeline = SynthesisPipeline(solver_options=SolverOptions(restarts=1, max_iterations=60))
-    outcomes = pipeline.run([qclp, gauss])
-    assert pipeline.cache.stats()["misses"] == 1.0  # one shared reduction
-    assert outcomes[1].from_cache and not outcomes[1].shared_solve
+    with Engine(solver_options=SolverOptions(restarts=1, max_iterations=60)) as engine:
+        responses = run(engine, [qclp, gauss])
+        assert engine.cache.stats()["misses"] == 1.0  # one shared reduction
+    assert responses[1].from_cache and not responses[1].shared_solve
 
 
 def test_pipeline_resolves_portfolio_solver_from_options():
     job = job_from_benchmark(get_benchmark("freire1"), quick=True, strategy="portfolio")
-    pipeline = SynthesisPipeline(solver_options=SolverOptions(restarts=1, max_iterations=80))
-    outcome = pipeline.run([job])[0]
-    assert outcome.ok
-    result = outcome.result
+    with Engine(solver_options=SolverOptions(restarts=1, max_iterations=80)) as engine:
+        response = run(engine, [job])[0]
+    assert response.ok
+    result = response.result
     assert result.strategy is not None
     assert any(key.startswith("portfolio_") for key in result.statistics)
 

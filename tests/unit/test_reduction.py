@@ -168,6 +168,54 @@ def test_stage_cache_eviction_is_bounded_per_stage():
     assert not hit
 
 
+def test_stage_cache_builds_once_and_drops_key_locks_under_contention():
+    import sys
+    import threading
+    import time
+
+    cache = StageCache(max_entries=4)
+    builds = {"ok": 0}
+    counter_lock = threading.Lock()
+
+    def good():
+        with counter_lock:
+            builds["ok"] += 1
+        time.sleep(0.01)  # hold the key lock while other threads queue on it
+        return "value"
+
+    def bad():
+        raise ValueError("unparsable")
+
+    errors = []
+
+    def worker(index):
+        try:
+            for round_ in range(20):
+                value, _, _ = cache.get_or_build("frontend", ("good",), good)
+                assert value == "value"
+                try:
+                    cache.get_or_build("frontend", ("bad", index % 3, round_), bad)
+                except ValueError:
+                    pass
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(index,)) for index in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert builds["ok"] == 1  # concurrent lookups of one key build it once
+    assert cache._key_locks == {}  # failed and finished builds leave no lock
+
+
 # ---------------------------------------------------------------------------
 # Translation profile
 # ---------------------------------------------------------------------------
@@ -268,19 +316,6 @@ def test_escalation_respects_the_deadline():
     assert len(trace.attempts) <= 3
     if trace.exhausted_deadline:
         assert trace.attempts[-1].status == "deadline-skipped"
-
-
-def test_pipeline_survives_auto_degree_job_in_reduce_only_batch():
-    """An invalid per-job request becomes an error outcome, not a batch abort."""
-    from repro.pipeline import SynthesisPipeline
-
-    bad = job(degree="auto")
-    good = job(degree=1)
-    with SynthesisPipeline() as pipeline:
-        outcomes = pipeline.run([bad, good], solve=False)
-    assert len(outcomes) == 2
-    assert not outcomes[0].ok and "RequestValidationError" in (outcomes[0].error or "")
-    assert outcomes[1].ok and outcomes[1].task is not None
 
 
 def test_escalation_keeps_stage_timings_on_the_winning_rung():

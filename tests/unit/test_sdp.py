@@ -1,86 +1,8 @@
-"""Unit tests for repro.solvers.sdp (SOS certificate search) and farkas baseline."""
-
-import pytest
+"""Unit tests for the linear Farkas baseline (repro.solvers.farkas)."""
 
 from repro.invariants.constraints import ConstraintPair
 from repro.polynomial.parse import parse_polynomial
 from repro.solvers.farkas import can_express_target, farkas_translate, linear_baseline_system
-from repro.solvers.sdp import check_putinar_certificate, solve_sos_feasibility
-from repro.spec.preconditions import Precondition
-
-
-def test_sos_feasibility_globally_positive_polynomial():
-    # x^2 + 1 > 0 needs no assumptions at all.
-    result = solve_sos_feasibility(
-        conclusion=parse_polynomial("x^2 + 1"),
-        assumptions=[],
-        variables=["x"],
-        upsilon=2,
-        epsilon=0.5,
-    )
-    assert result.feasible
-
-
-def test_sos_feasibility_uses_assumptions():
-    # x >= 1 ==> x^2 > 0 has the certificate x^2 = eps + h0 + h1*(x - 1).
-    result = solve_sos_feasibility(
-        conclusion=parse_polynomial("x^2"),
-        assumptions=[parse_polynomial("x - 1")],
-        variables=["x"],
-        upsilon=2,
-        epsilon=1e-3,
-    )
-    assert result.feasible
-    assert len(result.gram_matrices) == 2
-
-
-def test_sos_feasibility_detects_false_implication():
-    # x >= 0 does NOT imply x - 1 > 0.
-    result = solve_sos_feasibility(
-        conclusion=parse_polynomial("x - 1"),
-        assumptions=[parse_polynomial("x")],
-        variables=["x"],
-        upsilon=2,
-        epsilon=1e-3,
-        max_iterations=800,
-    )
-    assert not result.feasible
-
-
-def test_check_putinar_certificate_wrapper():
-    pair = ConstraintPair(
-        name="pair",
-        assumptions=(parse_polynomial("x"), parse_polynomial("1 - x")),
-        conclusion=parse_polynomial("x*x - x + 1"),
-        program_variables=("x",),
-    )
-    result = check_putinar_certificate(pair, upsilon=2, epsilon=1e-3)
-    assert result.feasible
-
-
-def test_check_putinar_certificate_rejects_symbolic_pair():
-    pair = ConstraintPair(
-        name="pair",
-        assumptions=(parse_polynomial("x"),),
-        conclusion=parse_polynomial("$s_f_1_0_0 * x"),
-        program_variables=("x",),
-    )
-    with pytest.raises(ValueError):
-        check_putinar_certificate(pair)
-
-
-def test_sos_feasibility_no_variables():
-    result = solve_sos_feasibility(
-        conclusion=parse_polynomial("2"),
-        assumptions=[],
-        variables=[],
-        upsilon=2,
-        epsilon=1.0,
-    )
-    assert result.feasible
-
-
-# -- Farkas / linear baseline -----------------------------------------------------------
 
 
 def test_farkas_translate_is_single_factor_handelman():

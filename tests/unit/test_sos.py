@@ -1,20 +1,11 @@
 """Unit tests for repro.polynomial.sos."""
 
-import numpy as np
 import pytest
 
 from repro.errors import PolynomialError
 from repro.polynomial.monomial import Monomial
 from repro.polynomial.parse import parse_polynomial
-from repro.polynomial.sos import (
-    evaluate_encoding,
-    gram_matrix_encoding,
-    gram_polynomial,
-    is_numerically_psd,
-    project_to_psd,
-    sos_basis,
-    sos_from_gram,
-)
+from repro.polynomial.sos import gram_matrix_encoding, sos_basis
 
 
 def test_sos_basis_half_degree():
@@ -49,51 +40,13 @@ def test_gram_encoding_matches_numeric_expansion():
     values[encoding.l_variable_names[0][0]] = 1.0
     values[encoding.l_variable_names[1][0]] = 2.0
     values[encoding.l_variable_names[1][1]] = 3.0
-    gram = evaluate_encoding(encoding, values)
-    assert np.allclose(gram, np.array([[1.0, 2.0], [2.0, 13.0]]))
-    # The symbolic expansion evaluated at those l-values equals y^T Q y.
+    # The symbolic expansion evaluated at those l-values equals y^T Q y with
+    # basis y = [1, x]: 1 + 4x + 13x^2.
     substituted = encoding.polynomial.substitute(
         {name: value for name, value in values.items()}
     )
-    expected = gram_polynomial(encoding.basis, gram)
+    expected = parse_polynomial("1 + 4*x + 13*x^2")
     for x_value in (-2.0, 0.5, 3.0):
         assert substituted.evaluate_float({"x": x_value}) == pytest.approx(
             expected.evaluate_float({"x": x_value}), rel=1e-6
         )
-
-
-def test_is_numerically_psd():
-    assert is_numerically_psd(np.array([[2.0, 0.0], [0.0, 1.0]]))
-    assert not is_numerically_psd(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    assert is_numerically_psd(np.zeros((0, 0)))
-
-
-def test_project_to_psd_clips_negative_eigenvalues():
-    matrix = np.array([[1.0, 0.0], [0.0, -2.0]])
-    projected = project_to_psd(matrix)
-    assert is_numerically_psd(projected)
-    assert projected[0, 0] == pytest.approx(1.0)
-    assert projected[1, 1] == pytest.approx(0.0)
-
-
-def test_sos_from_gram_reconstructs_polynomial():
-    basis = sos_basis(["x"], 2)  # [1, x]
-    gram = np.array([[1.0, 1.0], [1.0, 2.0]])  # (1 + x)^2 + x^2
-    squares = sos_from_gram(basis, gram)
-    total = sum((square * square for square in squares), start=parse_polynomial("0"))
-    expected = gram_polynomial(basis, gram)
-    for x_value in (-1.0, 0.0, 0.7, 2.0):
-        assert total.evaluate_float({"x": x_value}) == pytest.approx(
-            expected.evaluate_float({"x": x_value}), rel=1e-6, abs=1e-9
-        )
-
-
-def test_sos_from_gram_rejects_indefinite():
-    basis = sos_basis(["x"], 2)
-    with pytest.raises(PolynomialError):
-        sos_from_gram(basis, np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-
-def test_gram_polynomial_shape_mismatch():
-    with pytest.raises(PolynomialError):
-        gram_polynomial(sos_basis(["x"], 2), np.eye(3))
